@@ -1,16 +1,17 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check
+.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race flake chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check
 
 # ci is the full local gate: static checks (vet + the wilint invariant
 # suite and its self-tests), the race-instrumented test suite (including
-# the internal/loadtest fleet replay), the chaos / crash-recovery harness,
+# the internal/loadtest fleet replay), twenty reruns of the timing-sensitive
+# read-path suites (flake), the chaos / crash-recovery harness,
 # the cluster failover/partition gauntlet, the core tier of the scenario
 # golden corpus, a short fuzz smoke on every fuzz target, a one-iteration
 # benchmark smoke (catches benchmarks that stop compiling or crash,
 # without timing anything) and the SVD-lookup benchmark regression gate.
-ci: lint lint-selftest build race chaos failover corpus-short fuzz-smoke bench-smoke bench-check
+ci: lint lint-selftest build race flake chaos failover corpus-short fuzz-smoke bench-smoke bench-check
 
 # lint runs every static check: go vet, the project's own wilint
 # multichecker (exits non-zero on any unsuppressed finding), and
@@ -54,6 +55,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake reruns, under the race detector, the suites that depend on the read
+# path's read-your-writes contract and on the broadcast pump's timing (SSE
+# stream, snapshot, mixed read/write fleet replay) twenty times each. They
+# were the tier-1 flakes while a reader that lost the publish lock was
+# handed the previous epoch; a timing regression there shows up here long
+# before it shows up in a single `go test`.
+flake:
+	$(GO) test -race -count=20 -run 'TestStream|TestSnapshot|TestReadsShare|TestHTTPRead|TestScrape' ./internal/server
+	$(GO) test -race -count=20 -run 'TestMixedReadWriteFleetReplay' ./internal/loadtest
 
 # chaos runs the fault-injection harness under the race detector:
 # poisoned-report equivalence, AP outages mid-trip, and kill -9
@@ -100,14 +111,15 @@ fuzz-smoke:
 # then the ingest-throughput benchmarks (single-POST HTTP, NDJSON batch,
 # handler-only, decode-only) to BENCH_ingest.json, then the read-path
 # benchmarks (snapshot-served GET vs cold recompute for vehicles and
-# arrivals) to BENCH_read.json.
+# arrivals, and one whole epoch publish over 10/40/120 live buses with its
+# per-publish SegmentTime count under "extra") to BENCH_read.json.
 bench:
 	$(GO) test -run='^$$' -bench='SVD' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out BENCH_svd.json
 	@cat BENCH_svd.json
 	$(GO) test -run='^$$' -bench='BenchmarkIngest|BenchmarkBatch' -benchmem -benchtime=20000x -count=1 ./internal/server \
 		| $(GO) run ./cmd/benchjson -out BENCH_ingest.json
 	@cat BENCH_ingest.json
-	$(GO) test -run='^$$' -bench='BenchmarkVehicles|BenchmarkArrivals' -benchmem -count=1 ./internal/server \
+	$(GO) test -run='^$$' -bench='BenchmarkVehicles|BenchmarkArrivals|BenchmarkPublish' -benchmem -count=1 ./internal/server \
 		| $(GO) run ./cmd/benchjson -out BENCH_read.json
 	@cat BENCH_read.json
 

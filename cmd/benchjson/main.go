@@ -30,6 +30,9 @@ type Result struct {
 	// BytesPerOp and AllocsPerOp are present when -benchmem was on.
 	BytesPerOp  *int64 `json:"bytesPerOp,omitempty"`
 	AllocsPerOp *int64 `json:"allocsPerOp,omitempty"`
+	// Extra holds the benchmark's own b.ReportMetric pairs by unit, e.g.
+	// "segtimes/op" on BenchmarkPublish.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Doc is the emitted JSON document.
@@ -95,7 +98,8 @@ func run(out string) error {
 //
 //	BenchmarkSVDLookup-4   2825542   870.4 ns/op   101 B/op   5 allocs/op
 //
-// Trailing unit pairs beyond the three standard ones are ignored.
+// Unit pairs beyond the three standard ones are b.ReportMetric values and
+// are kept in Extra.
 func parseLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
@@ -108,15 +112,21 @@ func parseLine(line string) (Result, bool) {
 	}
 	r := Result{Name: fields[0], Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseInt(fields[i], 10, 64)
+		f, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
+		v := int64(f)
 		switch fields[i+1] {
 		case "B/op":
 			r.BytesPerOp = &v
 		case "allocs/op":
 			r.AllocsPerOp = &v
+		default:
+			if r.Extra == nil {
+				r.Extra = make(map[string]float64)
+			}
+			r.Extra[fields[i+1]] = f
 		}
 	}
 	return r, true

@@ -136,6 +136,9 @@ func TestMetricsUnderFleetLoad(t *testing.T) {
 
 	// Quiescent reconciliation: the scrape, the service's snapshots, and the
 	// delivery count must all tell one story.
+	// The read comes first: the active_buses gauge reports the published
+	// snapshot, and a scrape never publishes one.
+	active := svc.ActiveBuses()
 	series := scrapeSeries(t, h)
 	stats, hs := svc.Stats(), svc.HTTPStats()
 
@@ -181,8 +184,8 @@ func TestMetricsUnderFleetLoad(t *testing.T) {
 	if series[`wilocator_http_request_seconds_count{path="/metrics"}`] == 0 {
 		t.Error("scrapes left no trace in the /metrics latency series")
 	}
-	if got := series["wilocator_active_buses"]; got != float64(svc.ActiveBuses()) {
-		t.Errorf("active_buses gauge %v, service says %d", got, svc.ActiveBuses())
+	if got := series["wilocator_active_buses"]; got != float64(active) {
+		t.Errorf("active_buses gauge %v, service says %d", got, active)
 	}
 
 	// The tracer saw the replay too: recent events include ingest spans.

@@ -123,6 +123,14 @@ func (t *Tracker) Trajectory() []TrajectoryPoint {
 	return cp
 }
 
+// TrajectoryView returns the fixes so far without copying them. The tracker
+// only ever appends to its trajectory, so the returned slice (capacity
+// clipped to its length) stays valid and unchanged while the tracker keeps
+// observing; the caller must treat it as read-only.
+func (t *Tracker) TrajectoryView() []TrajectoryPoint {
+	return t.traj[:len(t.traj):len(t.traj)]
+}
+
 // Observe incorporates one scan, returning the new estimate and any segment
 // crossings completed since the previous fix. A scan yielding no fix
 // (ErrNoFix) leaves the tracker state unchanged.

@@ -212,7 +212,7 @@ func (e *Engine) PredictArrival(routeID string, fromArc float64, at time.Time, s
 	arc := fromArc
 	idx, _, _ := route.SegmentAt(arc)
 	for {
-		segID := route.Segments()[idx]
+		segID := route.Segment(idx)
 		segStart := route.SegmentStartArc(idx)
 		segEnd := route.SegmentEndArc(idx)
 		segLen := segEnd - segStart
@@ -240,22 +240,63 @@ func (e *Engine) PredictArrival(routeID string, fromArc float64, at time.Time, s
 }
 
 // PredictAllStops predicts arrival times at every stop strictly ahead of
-// fromArc, returned in stop order alongside the stop indices. Used by the
-// error-vs-stops experiment (Fig. 8(c)).
+// fromArc, in stop order. It is one forward sweep along the route: the
+// virtual clock advances segment by segment exactly as in PredictArrival,
+// and every stop the sweep passes is emitted from the clock at its segment's
+// start — the same float operations in the same order, so each ETA equals
+// PredictArrival's for that stop, at one SegmentTime call per segment ahead
+// instead of one per (stop, segment) pair.
+//
+// If a segment prediction fails, the stops before that segment are returned
+// alongside the error (every later stop would fail the same way).
 func (e *Engine) PredictAllStops(routeID string, fromArc float64, at time.Time) ([]StopPrediction, error) {
 	route, ok := e.net.Route(routeID)
 	if !ok {
 		return nil, fmt.Errorf("predict: unknown route %q", routeID)
 	}
-	var out []StopPrediction
-	for i := route.NextStopIndex(fromArc); i < route.NumStops(); i++ {
-		eta, err := e.PredictArrival(routeID, fromArc, at, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, StopPrediction{StopIndex: i, ETA: eta})
+	stop := route.NextStopIndex(fromArc)
+	numStops := route.NumStops()
+	if stop >= numStops {
+		return nil, nil
 	}
-	return out, nil
+	out := make([]StopPrediction, 0, numStops-stop)
+
+	clock := at
+	arc := fromArc
+	idx, _, _ := route.SegmentAt(arc)
+	for {
+		segStart := route.SegmentStartArc(idx)
+		segEnd := route.SegmentEndArc(idx)
+		segLen := segEnd - segStart
+		full, err := e.SegmentTime(route.Segment(idx), routeID, clock)
+		if err != nil {
+			return out, err
+		}
+		for ; stop < numStops && route.StopArc(stop) <= segEnd; stop++ {
+			eta := clock
+			if segLen > 0 {
+				frac := (route.StopArc(stop) - arc) / segLen
+				eta = clock.Add(time.Duration(frac * full * float64(time.Second)))
+			}
+			out = append(out, StopPrediction{StopIndex: stop, ETA: eta})
+		}
+		if stop >= numStops {
+			return out, nil
+		}
+		if segLen > 0 {
+			frac := (segEnd - arc) / segLen
+			clock = clock.Add(time.Duration(frac * full * float64(time.Second)))
+		}
+		arc = segEnd
+		idx++
+		if idx >= route.NumSegments() {
+			// Past the last segment PredictArrival returns the clock as is.
+			for ; stop < numStops; stop++ {
+				out = append(out, StopPrediction{StopIndex: stop, ETA: clock})
+			}
+			return out, nil
+		}
+	}
 }
 
 // StopPrediction is one stop's predicted arrival.

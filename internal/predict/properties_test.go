@@ -1,11 +1,15 @@
 package predict
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"wilocator/internal/geo"
+	"wilocator/internal/roadnet"
 	"wilocator/internal/traveltime"
+	"wilocator/internal/xrand"
 )
 
 // TestETAMonotoneInStopIndex: from a fixed position and time, predicted
@@ -95,5 +99,103 @@ func TestSegmentTimePositive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unevenNet builds a route of n segments of random length with stops that
+// do not line up with the segment grid, plus one stop exactly on a segment
+// end and one at the route end.
+func unevenNet(t *testing.T, rng *xrand.Rand, n int) (*roadnet.Network, *roadnet.Route) {
+	t.Helper()
+	g := roadnet.NewGraph()
+	x := 0.0
+	prev := g.AddNode(geo.Pt(x, 0), "n")
+	segs := make([]roadnet.SegmentID, n)
+	for i := range segs {
+		x += rng.Range(40, 320)
+		next := g.AddNode(geo.Pt(x, 0), "n")
+		id, err := g.AddSegment(prev, next, "s", rng.Range(8, 16), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i], prev = id, next
+	}
+	route, err := roadnet.NewRoute(g, "r", "uneven", roadnet.ClassOrdinary, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := []float64{0, route.SegmentEndArc(n / 2), route.Length()}
+	for i := 0; i < n; i++ {
+		arcs = append(arcs, rng.Range(0, route.Length()))
+	}
+	sort.Float64s(arcs)
+	for _, arc := range arcs {
+		if err := route.AddStop("s", arc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := roadnet.NewNetwork(g)
+	if err := net.AddRoute(route); err != nil {
+		t.Fatal(err)
+	}
+	return net, route
+}
+
+// TestSweepEqualsPerStopPrediction pins PredictAllStops to PredictArrival:
+// for seeded random routes, positions and clocks — including a bus exactly
+// on a stop, exactly on a segment end, past the last stop, and departures
+// just before the 08h slot boundary so the virtual clock changes slot
+// mid-route — the sweep's (stop, ETA) list equals the per-stop predictions
+// with time.Time equality.
+func TestSweepEqualsPerStopPrediction(t *testing.T) {
+	rng := xrand.New(20161)
+	pre := time.Date(2016, 3, 7, 7, 0, 0, 0, time.UTC)
+	rush := time.Date(2016, 3, 7, 8, 0, 0, 0, time.UTC)
+	for trial := 0; trial < 40; trial++ {
+		net, route := unevenNet(t, rng, 3+rng.Intn(10))
+		store := traveltime.NewStore(traveltime.PaperPlan())
+		for i, seg := range route.Segments() {
+			if i%4 == 3 {
+				continue // leave some segments on the free-flow fallback
+			}
+			for k := 0; k < 4; k++ {
+				addRec(t, store, seg, "r", pre.Add(time.Duration(rng.Intn(55))*time.Minute), rng.Range(20, 60))
+				addRec(t, store, seg, "r", rush.Add(time.Duration(rng.Intn(20))*time.Minute), rng.Range(90, 240))
+			}
+		}
+		w, err := NewWiLocator(net, store, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		arcs := []float64{
+			0, route.Length(), route.Length() + 5,
+			route.StopArc(route.NumStops() / 2),
+			route.SegmentEndArc(route.NumSegments() / 3),
+		}
+		for i := 0; i < 12; i++ {
+			arcs = append(arcs, rng.Range(0, route.Length()))
+		}
+		for _, arc := range arcs {
+			at := rush.Add(-time.Duration(rng.Intn(600)) * time.Second).Add(time.Duration(rng.Intn(1e9)))
+			got, err := w.PredictAllStops("r", arc, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := route.NextStopIndex(arc)
+			if len(got) != route.NumStops()-first {
+				t.Fatalf("trial %d arc %v: %d predictions, want %d", trial, arc, len(got), route.NumStops()-first)
+			}
+			for i, p := range got {
+				want, err := w.PredictArrival("r", arc, at, first+i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.StopIndex != first+i || !p.ETA.Equal(want) || p.ETA != want {
+					t.Fatalf("trial %d arc %v at %v: sweep stop %d ETA %v, PredictArrival(%d) = %v",
+						trial, arc, at, p.StopIndex, p.ETA, first+i, want)
+				}
+			}
+		}
 	}
 }

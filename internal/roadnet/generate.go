@@ -48,7 +48,12 @@ type CitySpec struct {
 	Riverine RiverineSpec
 }
 
-// BuildCity dispatches to the generator named by spec.Form.
+// BuildCity dispatches to the generator named by spec.Form. Every builder is
+// a pure function of its spec and seed — scenario goldens are recorded
+// against the segment IDs it assigns — so the wilint determinism analyzer
+// guards every function reachable from the builders.
+//
+//wilint:deterministic BuildCity BuildVancouver BuildGridCity BuildRadialCity BuildRiverineCity BuildCampus
 func BuildCity(spec CitySpec) (*Network, error) {
 	switch spec.Form {
 	case CityVancouver:
@@ -417,25 +422,28 @@ func BuildRiverineCity(spec RiverineSpec, seed uint64) (*Network, error) {
 		}
 		sSegs[i] = id
 	}
-	bridges := make(map[int]SegmentID)
-	for i := range bridgeAt {
+	// Bridges are added in ascending node order: segment IDs are assigned in
+	// insertion order, so ranging over the bridgeAt map here would make the
+	// IDs — and everything compiled from the network — differ run to run.
+	// The crossing route takes the first (westmost) bridge.
+	firstBridge := -1
+	var firstBridgeSeg SegmentID
+	for i := 0; i < spec.Nodes; i++ {
+		if !bridgeAt[i] {
+			continue
+		}
 		id, err := g.AddSegment(southN[i], northN[i], fmt.Sprintf("bridge-%d", i), spec.Speed*0.8, true)
 		if err != nil {
 			return nil, err
 		}
-		bridges[i] = id
-	}
-
-	// The crossing route takes the first (westmost) bridge.
-	firstBridge := spec.Nodes
-	for i := range bridges {
-		if i < firstBridge {
-			firstBridge = i
+		if firstBridge < 0 {
+			firstBridge, firstBridgeSeg = i, id
 		}
 	}
+
 	var crossSegs []SegmentID
 	crossSegs = append(crossSegs, sSegs[:firstBridge]...)
-	crossSegs = append(crossSegs, bridges[firstBridge])
+	crossSegs = append(crossSegs, firstBridgeSeg)
 	crossSegs = append(crossSegs, nSegs[firstBridge:]...)
 
 	net := NewNetwork(g)

@@ -124,6 +124,10 @@ func (r *Route) Segments() []SegmentID {
 // NumSegments returns the number of segments on the route.
 func (r *Route) NumSegments() int { return len(r.segIDs) }
 
+// Segment returns the ID of the idx-th segment of the route without copying
+// the sequence — the accessor for loops that walk the route by index.
+func (r *Route) Segment(idx int) SegmentID { return r.segIDs[idx] }
+
 // SegmentStartArc returns the arc length at which the idx-th segment of the
 // route begins.
 func (r *Route) SegmentStartArc(idx int) float64 { return r.segStart[idx] }
@@ -208,6 +212,9 @@ func (r *Route) Stops() []Stop {
 
 // NumStops returns the number of stops on the route.
 func (r *Route) NumStops() int { return len(r.stops) }
+
+// Stop returns the i-th stop of the route without copying the stop list.
+func (r *Route) Stop(i int) Stop { return r.stops[i] }
 
 // StopArc returns the arc length of the i-th stop.
 func (r *Route) StopArc(i int) float64 { return r.stops[i].Arc }

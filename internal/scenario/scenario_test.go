@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"testing"
 
@@ -187,5 +188,36 @@ func TestDeviceScenarioStillTracks(t *testing.T) {
 	}
 	if res.PositionError.N == 0 {
 		t.Error("no position-error samples")
+	}
+}
+
+// TestCompileRepeatable is the regression test for builder nondeterminism
+// (a city generator once ranged over a map while assigning segment IDs, so
+// one compile in six produced a different network): every corpus scenario,
+// compiled repeatedly in one process, yields one event-stream hash.
+func TestCompileRepeatable(t *testing.T) {
+	const compiles = 20
+	for _, spec := range Corpus() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			var first [sha256.Size]byte
+			for i := 0; i < compiles; i++ {
+				c, err := Compile(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				if err := json.NewEncoder(h).Encode(c.Events); err != nil {
+					t.Fatal(err)
+				}
+				var sum [sha256.Size]byte
+				h.Sum(sum[:0])
+				if i == 0 {
+					first = sum
+				} else if sum != first {
+					t.Fatalf("compile %d of %s hashed %x, compile 0 hashed %x", i, spec.Name, sum[:6], first[:6])
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wilocator/internal/api"
 )
@@ -115,9 +116,17 @@ func (b *broadcaster) poke() {
 	}
 }
 
-// pump turns dirty notifications into snapshot publishes and broadcasts. It
-// is started lazily by the first subscriber and runs until close; joined via
-// the broadcaster WaitGroup.
+// pumpCoalesce is how long the pump waits after a wake before it publishes.
+// Reports arrive in upload frames, and markDirty pokes on the first report
+// of a frame; publishing at once would run the publish alongside the rest of
+// that frame's ingest (stretching its ack) and leave the frame's tail for a
+// second epoch. The window is longer than ingesting and acknowledging one
+// frame and short against the frame interval, so one frame is one epoch.
+const pumpCoalesce = 2 * time.Millisecond
+
+// pump turns dirty notifications into snapshot publishes and broadcasts,
+// one per coalescing window. It is started lazily by the first subscriber
+// and runs until close; joined via the broadcaster WaitGroup.
 func (b *broadcaster) pump() {
 	defer b.wg.Done()
 	for {
@@ -125,8 +134,20 @@ func (b *broadcaster) pump() {
 		case <-b.done:
 			return
 		case <-b.wake:
-			b.svc.PublishSnapshot()
 		}
+		window := time.NewTimer(pumpCoalesce)
+		select {
+		case <-b.done:
+			window.Stop()
+			return
+		case <-window.C:
+		}
+		// The publish below covers every poke of the window.
+		select {
+		case <-b.wake:
+		default:
+		}
+		b.svc.PublishSnapshot()
 	}
 }
 

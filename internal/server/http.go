@@ -234,18 +234,9 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 				return
 			}
 		}
+		// Every route of the network (and "" for all of it) has a cell.
 		snap := s.currentSnapshot()
-		if body := snap.tmaps[routeID].body; body != nil {
-			s.serveSnapshot(w, r, snap, body)
-			return
-		}
-		// Unreachable guard: every route of the network has a snapshot cell.
-		out, err := s.TrafficMap(routeID)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
+		s.serveSnapshot(w, r, snap, snap.tmaps[routeID].body)
 	})
 
 	mux.HandleFunc("GET "+api.PathStream, func(w http.ResponseWriter, r *http.Request) {

@@ -216,9 +216,11 @@ func newServiceMetrics(s *Service, reg *obs.Registry) *serviceMetrics {
 		})
 
 	// Engine/diagram gauges.
+	// Read off the published snapshot, never through currentSnapshot: a
+	// scrape is not a reader and must not trigger a publish.
 	reg.GaugeFunc("wilocator_active_buses",
-		"Currently tracked, non-stale buses.",
-		func() float64 { return float64(s.ActiveBuses()) })
+		"Tracked, non-stale buses as of the served read snapshot.",
+		func() float64 { return float64(len(s.snap.cur.Load().vehicles[""])) })
 	reg.GaugeFunc("wilocator_engine_generation",
 		"Serving engine generation (1 = initial build).",
 		func() float64 { return float64(s.Generation()) })

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -79,6 +80,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Read before scraping: the gauge reports the published snapshot and a
+	// scrape never publishes one.
+	active := w.svc.ActiveBuses()
 	h := Handler(w.svc)
 	series := scrape(t, h)
 	st := w.svc.Stats()
@@ -125,8 +129,29 @@ func TestMetricsEndpoint(t *testing.T) {
 		get(`wilocator_trafficmap_segments_total{condition="unknown"}`) == 0 {
 		t.Error("traffic-map classification counters all zero after TrafficMap")
 	}
-	if got := get("wilocator_active_buses"); got != float64(w.svc.ActiveBuses()) {
-		t.Errorf("active_buses = %v, want %d", got, w.svc.ActiveBuses())
+	if got := get("wilocator_active_buses"); got != float64(active) {
+		t.Errorf("active_buses = %v, want %d", got, active)
+	}
+}
+
+// TestScrapeDoesNotPublish: a /metrics scrape is not a reader. On a service
+// whose snapshot is dirty, writing the exposition leaves the publish count
+// where it was; the next real read still publishes.
+func TestScrapeDoesNotPublish(t *testing.T) {
+	w := newObsWorld(t, 13)
+	w.runBusHalf(t, "bus-1", t0, 2, 5)
+	w.svc.Vehicles("")
+	w.svc.InvalidateReadSnapshot()
+	before := w.svc.ReadStats().Publishes
+	if err := w.svc.Registry().WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.svc.ReadStats().Publishes; got != before {
+		t.Errorf("scrape moved publishes %d -> %d on a dirty service", before, got)
+	}
+	w.svc.Vehicles("")
+	if got := w.svc.ReadStats().Publishes; got != before+1 {
+		t.Errorf("publishes %d -> %d after the next read, want one more", before, got)
 	}
 }
 

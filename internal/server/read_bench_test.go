@@ -8,6 +8,14 @@ import (
 	"time"
 
 	"wilocator/internal/api"
+	"wilocator/internal/mobility"
+	"wilocator/internal/predict"
+	"wilocator/internal/roadnet"
+	"wilocator/internal/sensing"
+	"wilocator/internal/svd"
+	"wilocator/internal/traveltime"
+	"wilocator/internal/wifi"
+	"wilocator/internal/xrand"
 )
 
 // The read benchmarks measure one rider GET through the handler (snapshot
@@ -90,5 +98,116 @@ func BenchmarkArrivalsRecompute(b *testing.B) {
 			continue
 		}
 		_ = marshalBody(ests)
+	}
+}
+
+// newFleetService builds the scenario corpus's Vancouver city (four routes,
+// 19–91 stops, APs every 150 m as scenario.Compile deploys them) and replays
+// n buses into it, round-robin over the routes and staggered so that at the
+// frozen clock every bus is live and mid-route, spread between a tenth and
+// nine tenths of the way along.
+func newFleetService(b *testing.B, n int) *Service {
+	b.Helper()
+	net, err := roadnet.BuildCity(roadnet.CitySpec{Form: roadnet.CityVancouver})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dspec := wifi.DefaultDeploySpec()
+	dspec.Spacing = 150
+	dep, err := wifi.Deploy(net, dspec, xrand.New(90))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dia, err := svd.Build(net, dep, svd.Config{GridStep: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := t0.Add(2 * time.Hour)
+	svc, err := NewService(dia, traveltime.NewStore(traveltime.PaperPlan()), Config{Now: func() time.Time { return now }})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	type bus struct {
+		id, routeID string
+		route       *roadnet.Route
+		trip        *mobility.Trip
+		phones      []*sensing.Phone
+	}
+	routes := net.Routes()
+	field := mobility.DefaultCongestion(1)
+	fleet := make([]bus, n)
+	first := now
+	for i := range fleet {
+		route := routes[i%len(routes)]
+		rng := xrand.New(9000 + uint64(i))
+		// Drive once from a nominal start to learn the trip's duration, then
+		// place its start so the bus is frac of the way through at now.
+		probe, err := mobility.Drive(net, route.ID(), t0, mobility.DriveConfig{}, field, nil, rng.Split("trip"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		frac := 0.1 + 0.8*float64(i/len(routes)+1)/float64(n/len(routes)+2)
+		start := now.Add(-time.Duration(frac * float64(probe.Duration()))).Truncate(sensing.DefaultScanPeriod)
+		trip, err := mobility.Drive(net, route.ID(), start, mobility.DriveConfig{}, field, nil, rng.Split("trip"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		id := fmt.Sprintf("fleet-%03d", i)
+		phones, err := sensing.NewRiderPhones(id, 2, dep, sensing.PhoneConfig{ReportLoss: -1}, rng.Split("phones"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fleet[i] = bus{id: id, routeID: route.ID(), route: route, trip: trip, phones: phones}
+		if start.Before(first) {
+			first = start
+		}
+	}
+	// Time-major replay, so the travel-time store fills in the order a live
+	// fleet would fill it.
+	for at := first; !at.After(now); at = at.Add(sensing.DefaultScanPeriod) {
+		for _, bu := range fleet {
+			if at.Before(bu.trip.Start()) {
+				continue
+			}
+			pos := bu.route.PointAt(bu.trip.ArcAt(at))
+			for _, p := range bu.phones {
+				if scan, ok := p.ScanAt(pos, at); ok {
+					if _, err := svc.Ingest(api.Report{BusID: bu.id, RouteID: bu.routeID, PhoneID: p.ID(), Scan: scan}); err != nil {
+						b.Fatalf("Ingest: %v", err)
+					}
+				}
+			}
+		}
+	}
+	if live := len(svc.Vehicles("")); live < n*9/10 {
+		b.Fatalf("%d of %d fleet buses live at the bench clock", live, n)
+	}
+	return svc
+}
+
+// BenchmarkPublish times one whole epoch publish — capture, arrival sweeps,
+// traffic map, anomaly scan, JSON renders — over live-fleet sizes on the
+// scenario city, and reports how many per-segment predictions one publish
+// makes. That count is the cost model's leading term, live buses × segments
+// ahead; with the per-(bus, stop) loop it was live buses × stops ahead ×
+// segments between.
+func BenchmarkPublish(b *testing.B) {
+	for _, n := range []int{10, 40, 120} {
+		b.Run(fmt.Sprintf("buses=%d", n), func(b *testing.B) {
+			svc := newFleetService(b, n)
+			defer svc.Close()
+			pm := &predict.Metrics{}
+			svc.pred.SetMetrics(pm)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc.InvalidateReadSnapshot()
+				svc.PublishSnapshot()
+			}
+			b.StopTimer()
+			calls := pm.HistoricalMean.Load() + pm.SegmentMeanFallback.Load() + pm.FreeFlowFallback.Load()
+			b.ReportMetric(float64(calls)/float64(b.N), "segtimes/op")
+		})
 	}
 }

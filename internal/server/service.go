@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -638,7 +637,7 @@ func (s *Service) flushLocked(ctx context.Context, bs *busState) (locate.Estimat
 		if bs.lastCross != nil {
 			segIdx := c.SegIndex - 1
 			if segIdx >= 0 && segIdx < route.NumSegments() && bs.lastCross.SegIndex == segIdx {
-				segID := route.Segments()[segIdx]
+				segID := route.Segment(segIdx)
 				rec := traveltime.Record{
 					Seg:     segID,
 					RouteID: bs.routeID,
@@ -702,43 +701,6 @@ func (s *Service) Vehicles(routeID string) []api.VehicleStatus {
 	// snapshot for every other reader.
 	out := make([]api.VehicleStatus, len(vs))
 	copy(out, vs)
-	return out
-}
-
-// RecomputeVehicles is the pre-snapshot lock path: it walks the live bus
-// table under per-bus locks and derives the vehicle list at call time. The
-// snapshot-equivalence tests and the cold-compute benchmarks keep it as the
-// reference implementation; request serving goes through Vehicles.
-func (s *Service) RecomputeVehicles(routeID string) []api.VehicleStatus {
-	now := s.cfg.Now()
-	var out []api.VehicleStatus
-	s.buses.forEach(func(id string, bs *busState) {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		if bs.tracker == nil {
-			return
-		}
-		if routeID != "" && bs.routeID != routeID {
-			return
-		}
-		if bs.done || now.Sub(bs.lastUpdate) > s.cfg.StaleAfter {
-			return
-		}
-		arc, ok := bs.tracker.Arc()
-		if !ok {
-			return
-		}
-		speed, _ := bs.tracker.Speed()
-		out = append(out, api.VehicleStatus{
-			BusID:   id,
-			RouteID: bs.routeID,
-			Arc:     arc,
-			Pos:     bs.tracker.Route().PointAt(arc),
-			Speed:   speed,
-			Updated: bs.lastUpdate,
-		})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].BusID < out[j].BusID })
 	return out
 }
 
@@ -807,17 +769,6 @@ func (s *Service) arrivals(routeID string, stopIdx int) ([]api.ArrivalEstimate, 
 	return out, nil
 }
 
-// RecomputeArrivals is the pre-snapshot lock path for one (route, stop)
-// arrival table, predicting over RecomputeVehicles at call time. Reference
-// implementation for the snapshot-equivalence tests and benchmarks.
-func (s *Service) RecomputeArrivals(routeID string, stopIdx int) ([]api.ArrivalEstimate, error) {
-	route, err := s.checkStop(routeID, stopIdx)
-	if err != nil {
-		return nil, err
-	}
-	return s.predictStop(route, routeID, s.RecomputeVehicles(routeID), stopIdx)
-}
-
 // TrafficMap returns the classified network (or one route) from the current
 // epoch snapshot. The classification time is the snapshot's GeneratedAt —
 // at most FusionWindow behind the clock.
@@ -834,28 +785,6 @@ func (s *Service) TrafficMap(routeID string) (api.TrafficMapResponse, error) {
 		resp.Segments = append([]trafficmap.SegmentStatus(nil), resp.Segments...)
 	}
 	return resp, nil
-}
-
-// RecomputeTrafficMap is the pre-snapshot path: it classifies the network
-// (or one route) at call time under the store lock. Reference implementation
-// for the snapshot-equivalence tests.
-func (s *Service) RecomputeTrafficMap(routeID string) (api.TrafficMapResponse, error) {
-	now := s.cfg.Now()
-	var statuses []trafficmap.SegmentStatus
-	if routeID == "" {
-		statuses = s.tmap.Map(now)
-	} else {
-		var err error
-		statuses, err = s.tmap.MapForRoute(routeID, now)
-		if err != nil {
-			return api.TrafficMapResponse{}, err
-		}
-	}
-	return api.TrafficMapResponse{
-		GeneratedAt: now,
-		Segments:    statuses,
-		Strip:       trafficmap.Render(statuses),
-	}, nil
 }
 
 // RouteInfos returns the route inventory (Table I).
@@ -892,41 +821,22 @@ func (s *Service) ActiveBuses() int {
 // other read) of the same epoch observes one consistent instant — the old
 // path could see mid-update state across its two lock acquisitions.
 func (s *Service) Trajectory(busID string) (api.TrajectoryResponse, error) {
-	out, ok := s.currentSnapshot().trajectories[busID]
+	bt, ok := s.currentSnapshot().trajectories[busID]
 	if !ok {
 		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
 	}
-	if out.Fixes != nil {
-		out.Fixes = append([]api.TrajectoryFix(nil), out.Fixes...)
-	}
-	return out, nil
+	return s.trajectoryResponse(busID, bt.routeID, bt.fixes), nil
 }
 
-// RecomputeTrajectory is the pre-snapshot lock path: it reads the bus's
-// tracker under its lock at call time. Reference implementation for the
-// snapshot-equivalence tests.
-func (s *Service) RecomputeTrajectory(busID string) (api.TrajectoryResponse, error) {
-	bs := s.buses.get(busID)
-	if bs == nil {
-		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
-	}
-	bs.mu.Lock()
-	registered := bs.tracker != nil
-	routeID := bs.routeID
-	var traj []locate.TrajectoryPoint
-	if registered {
-		traj = bs.tracker.Trajectory()
-	}
-	bs.mu.Unlock()
-	if !registered {
-		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
-	}
+// trajectoryResponse projects a bus's planar fixes to the <lat, long, t>
+// tuples of Definition 6.
+func (s *Service) trajectoryResponse(busID, routeID string, fixes []locate.TrajectoryPoint) api.TrajectoryResponse {
 	out := api.TrajectoryResponse{BusID: busID, RouteID: routeID}
-	for _, p := range traj {
+	for _, p := range fixes {
 		ll := s.proj.ToLatLng(p.Pos)
 		out.Fixes = append(out.Fixes, api.TrajectoryFix{Lat: ll.Lat, Lng: ll.Lng, Time: p.Time, Arc: p.Arc})
 	}
-	return out, nil
+	return out
 }
 
 // anomalyMinPoints is the minimum run length (in scan cycles) for a
@@ -961,37 +871,6 @@ func (s *Service) Anomalies(routeID string) ([]api.AnomalyReport, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// RecomputeAnomalies is the pre-snapshot path: it captures each live bus
-// under its own lock at call time and runs the detection over the result.
-// Reference implementation for the snapshot-equivalence tests.
-func (s *Service) RecomputeAnomalies(routeID string) ([]api.AnomalyReport, error) {
-	if routeID != "" {
-		if _, ok := s.net.Route(routeID); !ok {
-			return nil, fmt.Errorf("server: unknown route %q", routeID)
-		}
-	}
-	now := s.cfg.Now()
-	var caps []busCapture
-	s.buses.forEach(func(id string, bs *busState) {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		if bs.tracker == nil {
-			return
-		}
-		if routeID != "" && bs.routeID != routeID {
-			return
-		}
-		caps = append(caps, busCapture{
-			id:         id,
-			routeID:    bs.routeID,
-			lastUpdate: bs.lastUpdate,
-			traj:       bs.tracker.Trajectory(),
-		})
-	})
-	sort.Slice(caps, func(i, j int) bool { return caps[i].id < caps[j].id })
-	return s.anomaliesFromCaptures(caps, now), nil
 }
 
 // routeMeanSpeed estimates the route's historical mean ground speed from the

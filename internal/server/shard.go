@@ -40,15 +40,6 @@ func (t *busTable) shard(busID string) *busShard {
 	return &t.shards[fnv1a(busID)&t.mask]
 }
 
-// get returns the bus's state, or nil if it is unknown.
-func (t *busTable) get(busID string) *busState {
-	sh := t.shard(busID)
-	sh.mu.Lock()
-	bs := sh.buses[busID]
-	sh.mu.Unlock()
-	return bs
-}
-
 // getOrCreate returns the bus's state, inserting an empty (unregistered)
 // one if absent. Registration itself (building the tracker) happens later
 // under the bus's own lock so tracker construction never blocks the shard.

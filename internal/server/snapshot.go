@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	"wilocator/internal/api"
 	"wilocator/internal/locate"
-	"wilocator/internal/predict"
 	"wilocator/internal/roadnet"
 	"wilocator/internal/trafficmap"
 )
@@ -30,13 +28,15 @@ import (
 //
 // Mutations (accepted reports, registrations, evictions, travel-time
 // records) bump a dirty counter; a snapshot records the counter value it was
-// computed at (asOf). A read whose loaded snapshot satisfies asOf == dirty
-// serves it straight from the atomic pointer. Otherwise the reader tries to
-// become the publisher with a TryLock: the winner recomputes and stores a
-// fresh snapshot with the next epoch, concurrent losers serve the previous
-// snapshot (still a real published epoch — bounded staleness, never a torn
-// view). At quiescence every read is therefore exactly as fresh as the old
-// lock-path recompute, which is what the byte-equivalence tests pin.
+// computed at (asOf). A read loads the counter once, on entry, and serves the
+// published snapshot straight from the atomic pointer when its asOf covers
+// that value. Otherwise it takes the publish lock — waiting for a publish
+// already in flight — and serves the snapshot it finds there if that one
+// covers the value it loaded, or publishes the next epoch itself. So a read
+// that starts after a report was acked observes that report
+// (read-your-writes), one publish serves every reader that was waiting for
+// it, and at quiescence every read is exactly as fresh as a recompute at
+// call time, which is what the byte-equivalence tests pin.
 //
 // Because two products of one snapshot were captured in a single pass, a
 // request pairing Anomalies with Trajectory (or Vehicles with Arrivals) can
@@ -74,7 +74,7 @@ type readStats struct {
 type snapState struct {
 	dirty atomic.Uint64
 	cur   atomic.Pointer[readSnapshot]
-	mu    sync.Mutex // single-flight publisher; TryLock on the read path
+	mu    sync.Mutex // single-flight publisher; stale readers wait on it
 }
 
 // arrivalCell is one (route, stop) entry of the precomputed arrival table.
@@ -104,7 +104,14 @@ type readSnapshot struct {
 	arrivals     map[string][]arrivalCell // routeID -> stop index
 	tmaps        map[string]tmapCell      // "" = all routes
 	anomalies    []api.AnomalyReport      // all routes, sorted
-	trajectories map[string]api.TrajectoryResponse
+	trajectories map[string]busTrajectory // by bus ID
+}
+
+// busTrajectory is one bus's fixes as the tracker recorded them; the
+// trajectory read projects them to <lat, long, t> when it is asked for.
+type busTrajectory struct {
+	routeID string
+	fixes   []locate.TrajectoryPoint // shared with the tracker, read-only
 }
 
 // nullBody is the rendered JSON of a nil slice, matching writeJSON's
@@ -136,9 +143,12 @@ func (s *Service) markDirty() {
 	}
 }
 
-// snapshotFresh reports whether snap can be served for a read at time now.
-func (s *Service) snapshotFresh(snap *readSnapshot, now time.Time) bool {
-	if snap == nil || snap.asOf != s.snap.dirty.Load() {
+// covers reports whether snap may answer a read that loaded the dirty
+// counter value want on entry and runs at time now: the capture covers
+// every mutation the reader could have been acked for, and the snapshot is
+// inside its fusion window.
+func (s *Service) covers(snap *readSnapshot, want uint64, now time.Time) bool {
+	if snap.asOf < want {
 		return false
 	}
 	age := now.Sub(snap.generatedAt)
@@ -146,33 +156,27 @@ func (s *Service) snapshotFresh(snap *readSnapshot, now time.Time) bool {
 }
 
 // currentSnapshot returns the snapshot to serve: the published one when it
-// is fresh, otherwise the result of a single-flight republish. Concurrent
-// readers that lose the TryLock serve the previous snapshot — a real
-// published epoch, at most one publish interval stale.
+// covers every mutation made before the call, otherwise the result of a
+// single-flight republish. A reader that finds a publish in flight waits
+// for it (a publish is a few milliseconds) rather than serving the previous
+// epoch, so an acked report is never missing from a later read. NewService
+// publishes the initial snapshot synchronously, so cur is never nil.
 func (s *Service) currentSnapshot() *readSnapshot {
-	cur := s.snap.cur.Load()
-	if s.snapshotFresh(cur, s.cfg.Now()) {
+	want := s.snap.dirty.Load()
+	if cur := s.snap.cur.Load(); s.covers(cur, want, s.cfg.Now()) {
 		return cur
 	}
-	if !s.snap.mu.TryLock() {
-		// Another reader is publishing right now. NewService publishes the
-		// initial snapshot synchronously, so cur is never nil here.
-		return cur
-	}
+	s.snap.mu.Lock()
 	defer s.snap.mu.Unlock()
 	now := s.cfg.Now()
-	cur = s.snap.cur.Load()
-	if s.snapshotFresh(cur, now) {
-		return cur // the winner we raced against already republished
+	cur := s.snap.cur.Load()
+	if s.covers(cur, want, now) {
+		return cur // the publish we waited for already covers this read
 	}
 	// Load dirty before capturing: a mutation landing mid-capture leaves
 	// asOf behind the counter, so the next read recomputes.
 	asOf := s.snap.dirty.Load()
-	var epoch uint64 = 1
-	if cur != nil {
-		epoch = cur.epoch + 1
-	}
-	next := s.computeSnapshot(asOf, epoch, now)
+	next := s.computeSnapshot(asOf, cur.epoch+1, now)
 	s.snap.cur.Store(next)
 	s.read.publishes.Add(1)
 	return next
@@ -226,7 +230,8 @@ type busCapture struct {
 }
 
 // captureBuses snapshots every registered bus (per-bus lock held only for
-// the copy). The result is sorted by bus ID.
+// the field reads; the trajectory is shared with the tracker, which only
+// appends to it). The result is sorted by bus ID.
 func (s *Service) captureBuses() []busCapture {
 	var caps []busCapture
 	s.buses.forEach(func(id string, bs *busState) {
@@ -241,7 +246,7 @@ func (s *Service) captureBuses() []busCapture {
 			route:      bs.tracker.Route(),
 			lastUpdate: bs.lastUpdate,
 			done:       bs.done,
-			traj:       bs.tracker.Trajectory(), // already a copy
+			traj:       bs.tracker.TrajectoryView(),
 		}
 		c.arc, c.arcOK = bs.tracker.Arc()
 		c.speed, _ = bs.tracker.Speed()
@@ -293,49 +298,47 @@ func filterVehicles(all []api.VehicleStatus, routeID string) []api.VehicleStatus
 }
 
 // arrivalsForRoute computes the arrival table of one route from its live
-// vehicles — the same per-stop prediction loop the old per-request path ran.
+// vehicles: one forward sweep per bus (Eq. 9 composed once along the route)
+// emits that bus's ETA at every stop ahead of it, so the table costs one
+// segment prediction per (bus, segment ahead) rather than one per (bus,
+// stop, segment between). vehicles is in bus-ID order and so is every cell.
 func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleStatus) []arrivalCell {
 	routeID := route.ID()
 	cells := make([]arrivalCell, route.NumStops())
-	for stopIdx := range cells {
-		cell := &cells[stopIdx]
-		ests, err := s.predictStop(route, routeID, vehicles, stopIdx)
-		if err != nil {
-			cell.err = err
-			continue
+	for _, v := range vehicles {
+		preds, err := s.pred.PredictAllStops(routeID, v.Arc, v.Updated)
+		for _, p := range preds {
+			cell := &cells[p.StopIndex]
+			cell.ests = append(cell.ests, api.ArrivalEstimate{
+				BusID:     v.BusID,
+				RouteID:   routeID,
+				StopIndex: p.StopIndex,
+				StopName:  route.Stop(p.StopIndex).Name,
+				ETA:       p.ETA,
+			})
 		}
-		cell.ests = ests
-		if ests == nil {
+		if err != nil {
+			// The sweep failed on a segment: every stop past the ones it
+			// reached reports the error, as a per-stop query would.
+			for i := route.NextStopIndex(v.Arc) + len(preds); i < len(cells); i++ {
+				if cells[i].err == nil {
+					cells[i].err = err
+				}
+			}
+		}
+	}
+	for i := range cells {
+		cell := &cells[i]
+		switch {
+		case cell.err != nil:
+			cell.ests = nil
+		case cell.ests == nil:
 			cell.body = nullBody
-		} else {
-			cell.body = marshalBody(ests)
+		default:
+			cell.body = marshalBody(cell.ests)
 		}
 	}
 	return cells
-}
-
-// predictStop runs the arrival prediction of one (route, stop) over the
-// given vehicles. Shared by the snapshot publisher and the recompute
-// reference path so the two can never diverge.
-func (s *Service) predictStop(route *roadnet.Route, routeID string, vehicles []api.VehicleStatus, stopIdx int) ([]api.ArrivalEstimate, error) {
-	var out []api.ArrivalEstimate
-	for _, v := range vehicles {
-		eta, err := s.pred.PredictArrival(routeID, v.Arc, v.Updated, stopIdx)
-		if err != nil {
-			if errors.Is(err, predict.ErrStopBehind) {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, api.ArrivalEstimate{
-			BusID:     v.BusID,
-			RouteID:   routeID,
-			StopIndex: stopIdx,
-			StopName:  route.Stops()[stopIdx].Name,
-			ETA:       eta,
-		})
-	}
-	return out, nil
 }
 
 // anomaliesFromCaptures runs the Fig. 4 anomaly detection over the captured
@@ -343,6 +346,13 @@ func (s *Service) predictStop(route *roadnet.Route, routeID string, vehicles []a
 // observed at the same epoch instead of under one lock acquisition each.
 func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.AnomalyReport {
 	var out []api.AnomalyReport
+	// δ and the expected-wait sites depend on the route, not the bus:
+	// derived once per route with a live bus, not once per bus.
+	type routeParams struct {
+		delta   float64
+		exclude []float64
+	}
+	params := make(map[string]routeParams)
 	for _, b := range caps {
 		if now.Sub(b.lastUpdate) > s.cfg.StaleAfter {
 			continue
@@ -351,17 +361,20 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.
 		if !ok {
 			continue
 		}
-		delta := trafficmap.DeltaFromHistory(s.routeMeanSpeed(route), s.cfg.FusionWindow, 0)
-		var exclude []float64
-		for _, stop := range route.Stops() {
-			exclude = append(exclude, stop.Arc)
-		}
-		for i := 0; i < route.NumSegments(); i++ {
-			if seg, _ := s.net.Graph.Segment(route.Segments()[i]); seg != nil && seg.Signal {
-				exclude = append(exclude, route.SegmentEndArc(i))
+		rp, ok := params[b.routeID]
+		if !ok {
+			rp.delta = trafficmap.DeltaFromHistory(s.routeMeanSpeed(route), s.cfg.FusionWindow, 0)
+			for i := 0; i < route.NumStops(); i++ {
+				rp.exclude = append(rp.exclude, route.StopArc(i))
 			}
+			for i := 0; i < route.NumSegments(); i++ {
+				if seg, _ := s.net.Graph.Segment(route.Segment(i)); seg != nil && seg.Signal {
+					rp.exclude = append(rp.exclude, route.SegmentEndArc(i))
+				}
+			}
+			params[b.routeID] = rp
 		}
-		for _, a := range trafficmap.DetectAnomalies(b.traj, delta, anomalyMinPoints, exclude, 30) {
+		for _, a := range trafficmap.DetectAnomalies(b.traj, rp.delta, anomalyMinPoints, rp.exclude, 30) {
 			center := (a.StartArc + a.EndArc) / 2
 			out = append(out, api.AnomalyReport{
 				BusID:    b.id,
@@ -385,8 +398,9 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.
 
 // computeSnapshot builds one immutable epoch: a single capture pass over the
 // bus table, then every read product derived from that one capture, then the
-// JSON renders. Publish-side cost is O(buses + routes×stops); read-side cost
-// becomes a pointer load.
+// JSON renders. Publish-side cost is O(live buses × segments ahead) for the
+// arrival sweeps, O(segments) for the traffic map and O(fixes of live buses)
+// for the anomaly scan; read-side cost is a pointer load.
 func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapshot {
 	caps := s.captureBuses()
 	routes := s.net.Routes()
@@ -401,7 +415,7 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 		vehiclesBody: make(map[string][]byte, len(routes)+1),
 		arrivals:     make(map[string][]arrivalCell, len(routes)),
 		tmaps:        make(map[string]tmapCell, len(routes)+1),
-		trajectories: make(map[string]api.TrajectoryResponse, len(caps)),
+		trajectories: make(map[string]busTrajectory, len(caps)),
 	}
 
 	all := s.vehiclesFromCaptures(caps, now, "")
@@ -414,27 +428,18 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 		snap.arrivals[rt.ID()] = s.arrivalsForRoute(rt, vs)
 	}
 
-	// Traffic map: whole network plus every route, classified at the same
-	// now. MapForRoute cannot fail here — the routes come from the network.
-	allStatuses := s.tmap.Map(now)
+	// Traffic map: whole network plus every route, each segment classified
+	// once at the same now.
+	allStatuses, routeStatuses := s.tmap.MapWithRoutes(now)
 	snap.tmaps[""] = newTmapCell(now, allStatuses)
-	for _, rt := range routes {
-		statuses, err := s.tmap.MapForRoute(rt.ID(), now)
-		if err != nil {
-			continue
-		}
-		snap.tmaps[rt.ID()] = newTmapCell(now, statuses)
+	for routeID, statuses := range routeStatuses {
+		snap.tmaps[routeID] = newTmapCell(now, statuses)
 	}
 
 	snap.anomalies = s.anomaliesFromCaptures(caps, now)
 
 	for _, c := range caps {
-		out := api.TrajectoryResponse{BusID: c.id, RouteID: c.routeID}
-		for _, p := range c.traj {
-			ll := s.proj.ToLatLng(p.Pos)
-			out.Fixes = append(out.Fixes, api.TrajectoryFix{Lat: ll.Lat, Lng: ll.Lng, Time: p.Time, Arc: p.Arc})
-		}
-		snap.trajectories[c.id] = out
+		snap.trajectories[c.id] = busTrajectory{routeID: c.routeID, fixes: c.traj}
 	}
 	return snap
 }

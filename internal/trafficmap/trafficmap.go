@@ -261,6 +261,30 @@ func (g *Generator) MapForRoute(routeID string, at time.Time) ([]SegmentStatus, 
 	return out, nil
 }
 
+// MapWithRoutes classifies every segment used by at least one route exactly
+// once at time at and returns both views of that single pass: the
+// whole-network map (equal to Map) and each route's map in travel order
+// (equal to MapForRoute), keyed by route ID. A publisher that needs all of
+// them pays one classification per segment instead of one per (route,
+// segment) pair, and the views cannot disagree about a shared segment.
+func (g *Generator) MapWithRoutes(at time.Time) (all []SegmentStatus, byRoute map[string][]SegmentStatus) {
+	all = g.Map(at)
+	pos := make([]int, g.net.Graph.NumSegments())
+	for i, st := range all {
+		pos[st.Seg] = i
+	}
+	routes := g.net.Routes()
+	byRoute = make(map[string][]SegmentStatus, len(routes))
+	for _, route := range routes {
+		out := make([]SegmentStatus, route.NumSegments())
+		for i := range out {
+			out[i] = all[pos[route.Segment(i)]]
+		}
+		byRoute[route.ID()] = out
+	}
+	return all, byRoute
+}
+
 // Render draws statuses as a one-character-per-segment strip, the textual
 // analogue of Fig. 11's coloured road map.
 func Render(statuses []SegmentStatus) string {

@@ -2,6 +2,7 @@ package trafficmap
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +288,66 @@ func TestDeltaFromHistory(t *testing.T) {
 func TestCoverageEmpty(t *testing.T) {
 	if Coverage(nil) != 0 {
 		t.Error("empty coverage != 0")
+	}
+}
+
+// TestMapWithRoutesEqualsSeparatePasses pins the single-pass map to the two
+// it replaces, on a generated city whose routes overlap, whose route order
+// is not segment-ID order and which has streets no route uses: the network
+// view equals Map, each route view equals MapForRoute, and every segment is
+// classified once.
+func TestMapWithRoutesEqualsSeparatePasses(t *testing.T) {
+	net, err := roadnet.BuildCity(roadnet.CitySpec{Form: roadnet.CityGrid, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := traveltime.NewStore(traveltime.PaperPlan())
+	for _, route := range net.Routes() {
+		for i, seg := range route.Segments() {
+			// History from one route per segment: Store.ResidualStats sums
+			// a shared segment's routes in map order, so with two of them
+			// even two Classify calls can differ in z's last bit.
+			if i%3 == 0 || net.RoutesOnSegment(seg)[0] != route.ID() {
+				continue
+			}
+			seedHistory(t, store, seg, route.ID(), 12, 40, 6)
+			if i%2 == 0 {
+				// Fresh evidence, slower than usual on every other segment.
+				enter := midday(-5)
+				rec := traveltime.Record{Seg: seg, RouteID: route.ID(), Enter: enter,
+					Exit: enter.Add(time.Duration(40+i%5*8) * time.Second)}
+				if err := store.Add(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g, err := NewGenerator(net, store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := midday(0)
+	wantAll := g.Map(at)
+	before := g.Counts()
+	all, byRoute := g.MapWithRoutes(at)
+	after := g.Counts()
+	if !reflect.DeepEqual(all, wantAll) {
+		t.Errorf("network view differs from Map")
+	}
+	classified := func(c ClassifyCounts) uint64 { return c.Unknown + c.Normal + c.Slow + c.VerySlow }
+	if got := classified(after) - classified(before); got != uint64(len(wantAll)) {
+		t.Errorf("MapWithRoutes classified %d segments, want one per mapped segment (%d)", got, len(wantAll))
+	}
+	if len(byRoute) != len(net.Routes()) {
+		t.Fatalf("%d route views for %d routes", len(byRoute), len(net.Routes()))
+	}
+	for _, route := range net.Routes() {
+		want, err := g.MapForRoute(route.ID(), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(byRoute[route.ID()], want) {
+			t.Errorf("route %s view differs from MapForRoute", route.ID())
+		}
 	}
 }
