@@ -12,7 +12,7 @@
 //	                 [-shards 32] [-evict-every 1m] [-build-workers 0]
 //	                 [-rebuild-on-ap-change 30s] [-pprof-addr localhost:6060]
 //	                 [-max-body 1048576] [-max-inflight 256]
-//	                 [-batch-max 4096] [-ring-depth 1024] [-sync-batch]
+//	                 [-batch-max 4096]
 //	                 [-read-timeout 10s] [-write-timeout 30s] [-idle-timeout 2m]
 //	                 [-no-observability] [-stream-buffer 16] [-stream-max-subs 4096]
 //	                 [-node-id n1 -peers 'n1=http://h1:8421|h1:9090,n2=http://h2:8421|h2:9090[|role]'
@@ -38,12 +38,11 @@
 //     exits — but records between saves are not durable.
 //
 // Batched ingest: POST /v1/reports/batch accepts NDJSON frames of up to
-// -batch-max reports and fans them out over per-shard rings of -ring-depth
-// reports each; a full ring sheds the rest of the frame with 429, a
-// Retry-After derived from the measured drain rate, and a `received` cursor
-// the client resumes from. With -wal-dir and -sync-batch (the default) the
-// WAL is fsynced once per frame — before the frame's 200, so every
-// acknowledged report is durable — instead of every -wal-sync-every records.
+// -batch-max reports and ingests their lines in order. Both report doors
+// share the -max-inflight admission bound; beyond it a request is shed with
+// 429 and a Retry-After derived from the measured drain rate. With -wal-dir
+// the WAL is fsynced once per frame, before the frame's 200, so every
+// acknowledged batched report is durable.
 //
 // Delta push: GET /v1/stream?route= serves Server-Sent Events — a snapshot
 // of the route on connect, then one delta per published epoch. Each
@@ -115,10 +114,8 @@ func run() error {
 		rebuildPoll  = flag.Duration("rebuild-on-ap-change", 0, "poll the active-AP set on this period and rebuild the diagram when it changed (0 disables)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables; keep it loopback or firewalled)")
 		maxBody      = flag.Int64("max-body", 1<<20, "maximum POST body size in bytes (over-limit requests get 413)")
-		maxInflight  = flag.Int("max-inflight", 256, "admission bound on concurrent report ingestions (beyond it: 429 + Retry-After)")
+		maxInflight  = flag.Int("max-inflight", 256, "admission bound on concurrent report POSTs, single and batch (beyond it: 429 + Retry-After)")
 		batchMax     = flag.Int("batch-max", 0, "maximum reports per POST /v1/reports/batch frame (0 = default 4096; beyond it: 413)")
-		ringDepth    = flag.Int("ring-depth", 0, "per-shard batch ring capacity in reports (0 = default 1024; full rings shed with 429 + Retry-After)")
-		syncBatch    = flag.Bool("sync-batch", true, "with -wal-dir, group-commit batches: one WAL fsync per frame before its 200, instead of every -wal-sync-every records")
 		readTimeout  = flag.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "HTTP server write timeout")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "HTTP server idle connection timeout")
@@ -221,15 +218,12 @@ func run() error {
 		MaxBodyBytes:       *maxBody,
 		MaxInFlightReports: *maxInflight,
 		BatchMaxReports:    *batchMax,
-		RingDepth:          *ringDepth,
 	}
 	// Group commit amortises WAL fsyncs across whole batches while keeping
 	// fsync-before-ack: assign only when a persister exists, so the
 	// interface stays nil (not typed-nil) in memory-only mode.
-	if *syncBatch && *walDir != "" {
-		if p := sys.Persister(); p != nil {
-			handlerCfg.GroupCommit = p
-		}
+	if p := sys.Persister(); p != nil {
+		handlerCfg.GroupCommit = p
 	}
 	if clusterMode {
 		peers, perr := cluster.ParsePeers(*peersSpec)

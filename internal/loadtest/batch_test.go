@@ -1,22 +1,25 @@
 package loadtest
 
 import (
+	"context"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
+	"wilocator/internal/api"
 	"wilocator/internal/client"
 	"wilocator/internal/server"
 	"wilocator/internal/traveltime"
 )
 
-// TestBatchedMatchesSequentialReplay is the batch-path half of the replay
-// equivalence argument: a fleet delivered concurrently as NDJSON frames
-// through the full HTTP stack — pooled decoding, per-shard rings,
-// combining drainers — must leave the service in exactly the state a
-// sequential in-process replay leaves it in: same tally, same per-bus
-// trajectories fix-for-fix, equivalent travel-time store. Run under -race
-// in CI.
+// TestBatchedMatchesSequentialReplay is the HTTP half of the replay
+// equivalence argument: a fleet delivered through the full HTTP stack —
+// admission, pooled decoding, per-line dispatch — must leave the service in
+// exactly the state a sequential in-process replay leaves it in: same
+// tally, same per-bus trajectories fix-for-fix, equivalent travel-time
+// store. It runs over three input shapes through the same handler: NDJSON
+// frames of 48 and one-line frames, both uploaded concurrently per bus, and
+// one POST per report. Run under -race in CI.
 func TestBatchedMatchesSequentialReplay(t *testing.T) {
 	w := testWorld(t)
 	spec := testSpec()
@@ -34,52 +37,69 @@ func TestBatchedMatchesSequentialReplay(t *testing.T) {
 	if seqTally.Errors != 0 || seqTally.Located == 0 {
 		t.Fatalf("sequential reference is unusable: %v", seqTally)
 	}
-
-	batchSvc, batchStore, err := NewService(w, server.Config{Now: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.NewHandler(batchSvc, server.HandlerConfig{
-		// Small frames and shallow rings so frame boundaries and drain
-		// handoffs actually occur mid-stream.
-		RingDepth: 64,
-	}))
-	defer ts.Close()
-	c, err := client.New(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchTally, err := ReplayBatched(c, streams, 48)
-	t.Logf("batched: %v", batchTally)
-	if err != nil {
-		t.Fatalf("batched replay: %v", err)
-	}
-	if batchTally != seqTally {
-		t.Fatalf("tallies diverge:\n  sequential %v\n  batched    %v", seqTally, batchTally)
-	}
-
 	seqTraj, err := Trajectories(seqSvc, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchTraj, err := Trajectories(batchSvc, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DiffTrajectories(seqTraj, batchTraj); err != nil {
-		t.Fatalf("trajectories diverge: %v", err)
-	}
-	if err := traveltime.Diff(seqStore, batchStore, 1e-9); err != nil {
-		t.Fatalf("travel-time stores diverge: %v", err)
-	}
 
-	// The HTTP ledger balances, and every report travelled in a frame.
-	hs := batchSvc.HTTPStats()
-	if hs.BatchShed+hs.BatchServed != hs.BatchOffered {
-		t.Errorf("batch ledger unbalanced: %+v", hs)
+	shapes := []struct {
+		name    string
+		batched bool
+		replay  func(c *client.Client) (Tally, error)
+	}{
+		{"frames of 48", true, func(c *client.Client) (Tally, error) { return ReplayBatched(c, streams, 48) }},
+		{"one-line frames", true, func(c *client.Client) (Tally, error) { return ReplayBatched(c, streams, 1) }},
+		{"single POSTs", false, func(c *client.Client) (Tally, error) {
+			return ReplayVia(streams, 0, -1, func(rep api.Report) (api.IngestResponse, error) {
+				return c.PostReport(context.Background(), rep)
+			}), nil
+		}},
 	}
-	if int(hs.BatchReports) != seqTally.Delivered {
-		t.Errorf("BatchReports = %d, want every one of the %d reports", hs.BatchReports, seqTally.Delivered)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			svc, store, err := NewService(w, server.Config{Now: now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(server.Handler(svc))
+			defer ts.Close()
+			c, err := client.New(ts.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally, err := sh.replay(c)
+			t.Logf("%s: %v", sh.name, tally)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if tally != seqTally {
+				t.Fatalf("tallies diverge:\n  sequential %v\n  %s %v", seqTally, sh.name, tally)
+			}
+			traj, err := Trajectories(svc, streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DiffTrajectories(seqTraj, traj); err != nil {
+				t.Fatalf("trajectories diverge: %v", err)
+			}
+			if err := traveltime.Diff(seqStore, store, 1e-9); err != nil {
+				t.Fatalf("travel-time stores diverge: %v", err)
+			}
+
+			// The door's HTTP ledger balances, and every report went
+			// through it.
+			hs := svc.HTTPStats()
+			if hs.BatchShed+hs.BatchServed != hs.BatchOffered || hs.Shed+hs.Served != hs.Offered {
+				t.Errorf("admission ledger unbalanced: %+v", hs)
+			}
+			got := int(hs.Served)
+			if sh.batched {
+				got = int(hs.BatchReports)
+			}
+			if got != seqTally.Delivered {
+				t.Errorf("door carried %d reports, want every one of the %d", got, seqTally.Delivered)
+			}
+		})
 	}
 }
 

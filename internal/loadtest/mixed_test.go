@@ -238,7 +238,7 @@ func TestMixedReadWriteFleetReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	ts := httptest.NewServer(server.NewHandler(svc, server.HandlerConfig{RingDepth: 64}))
+	ts := httptest.NewServer(server.Handler(svc))
 	defer ts.Close()
 	c, err := client.New(ts.URL, &http.Client{})
 	if err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"wilocator/internal/api"
@@ -24,18 +22,18 @@ type HandlerConfig struct {
 	// payload, not fixing its JSON, is the remedy). Default 1 MiB; a real
 	// report is a few hundred bytes.
 	MaxBodyBytes int64
-	// MaxInFlightReports bounds concurrently admitted /v1/reports
-	// requests. Beyond the bound the server sheds load with 429 +
-	// Retry-After instead of queueing unboundedly: under a crowd-sensing
-	// stampede, bounded latency for admitted reports beats unbounded
-	// latency for all. Default 256.
+	// MaxInFlightReports bounds the report POSTs — single and batch
+	// together — being ingested at once. Beyond the bound the server sheds
+	// load with 429 + Retry-After, before reading the body, instead of
+	// queueing unboundedly: under a crowd-sensing stampede, bounded latency
+	// for admitted reports beats unbounded latency for all. Default 256.
 	MaxInFlightReports int
 	// RetryAfter is the Retry-After hint attached to shed responses,
 	// rounded up to whole seconds. Default 1s.
 	RetryAfter time.Duration
-	// Router, when set, replaces direct ingestion on POST /v1/reports: the
-	// report goes to the router, which serves it on the local geo-shard or
-	// forwards it to the owning cluster node. A router failure wrapping
+	// Router, when set, replaces direct ingestion on both report doors:
+	// each report goes to the router, which serves it on the local
+	// geo-shard or forwards it to the owning cluster node. A router failure wrapping
 	// api.ErrShardUnavailable answers 503 + Retry-After (the owner is
 	// mid-failover or partitioned); other errors stay 400.
 	Router Router
@@ -47,11 +45,6 @@ type HandlerConfig struct {
 	// thousands of reports, so the single-report MaxBodyBytes does not
 	// apply to them. Default 16 MiB.
 	BatchMaxBodyBytes int64
-	// RingDepth is the per-ring capacity, in reports, of the batch ingest
-	// rings (one ring per bus-table shard, at most 32). When a ring stays
-	// full after the submitter lends a hand draining, the batch is cut
-	// short with 429 + a resume cursor. Default 1024.
-	RingDepth int
 	// GroupCommit, when set, brackets every batch with a
 	// BeginBatch/EndBatch fsync window so the WAL is synced once per
 	// batch instead of once per SyncEvery records, without weakening the
@@ -86,20 +79,7 @@ func (c HandlerConfig) withDefaults() HandlerConfig {
 	if c.BatchMaxBodyBytes <= 0 {
 		c.BatchMaxBodyBytes = 16 << 20
 	}
-	if c.RingDepth <= 0 {
-		c.RingDepth = 1024
-	}
 	return c
-}
-
-// reportScratch is the pooled per-request state of one single-report POST:
-// the body buffer, the fast-path decoder with its intern tables, and the
-// report itself. The service copies what it keeps at ingest, so the
-// scratch is safe to reuse the moment the handler returns.
-type reportScratch struct {
-	buf bytes.Buffer
-	dec *api.ReportDecoder
-	rep api.Report
 }
 
 // Handler returns the HTTP handler exposing the service as the JSON API of
@@ -111,77 +91,18 @@ func Handler(s *Service) http.Handler {
 // NewHandler is Handler with explicit hardening limits.
 func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 	hc = hc.withDefaults()
-	// Admission semaphore for the ingestion path. Buffered-channel
-	// try-acquire: a full channel means saturation, and the request is
-	// shed immediately rather than queued.
-	sem := make(chan struct{}, hc.MaxInFlightReports)
 	retryAfter := strconv.Itoa(int((hc.RetryAfter + time.Second - 1) / time.Second))
-	// Retry-After on shed responses scales with the measured drain rate
-	// (depth of the admission queue over served reports/sec), clamped to
-	// [hc.RetryAfter, 60s]; under a frozen test clock the meter degrades
-	// to the configured floor.
-	postMeter := newDrainMeter(s.cfg.Now, s.http.served.Load)
-	scratch := sync.Pool{New: func() any { return &reportScratch{dec: api.NewReportDecoder()} }}
-	batch := newBatchIngester(s, hc)
+	ing := newIngester(s, hc, retryAfter)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+api.PathReports, func(w http.ResponseWriter, r *http.Request) {
-		// offered is incremented before the admission decision and
-		// shed/served exactly once after it, so shed + served <= offered at
-		// every instant (and == at quiescence). HTTPStats loads in the
-		// reverse order.
-		s.http.offered.Add(1)
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		default:
-			s.http.shed.Add(1)
-			sec := postMeter.retryAfterSec(len(sem), hc.RetryAfter)
-			w.Header().Set("Retry-After", strconv.Itoa(sec))
-			writeErr(w, http.StatusTooManyRequests, "ingestion saturated; retry later")
-			return
-		}
-		// Admitted: every exit below is a response, even an error one.
-		defer s.http.served.Add(1)
-		r.Body = http.MaxBytesReader(w, r.Body, hc.MaxBodyBytes)
-		sc := scratch.Get().(*reportScratch)
-		defer scratch.Put(sc)
-		sc.buf.Reset()
-		if _, err := sc.buf.ReadFrom(r.Body); err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				s.http.tooLarge.Add(1)
-				writeErr(w, http.StatusRequestEntityTooLarge, "report body exceeds "+strconv.FormatInt(hc.MaxBodyBytes, 10)+" bytes")
-				return
-			}
-			writeErr(w, http.StatusBadRequest, "invalid report body: "+err.Error())
-			return
-		}
-		if err := sc.dec.Decode(&sc.rep, sc.buf.Bytes()); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid report body: "+err.Error())
-			return
-		}
-		rep := sc.rep
-		var resp api.IngestResponse
-		var err error
-		if hc.Router != nil {
-			resp, _, err = hc.Router.Dispatch(r.Context(), rep)
-		} else {
-			resp, err = s.IngestCtx(r.Context(), rep)
-		}
-		if err != nil {
-			if errors.Is(err, api.ErrShardUnavailable) {
-				w.Header().Set("Retry-After", retryAfter)
-				writeErr(w, http.StatusServiceUnavailable, err.Error())
-				return
-			}
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("POST "+api.PathReportsBatch, batch.serve)
+	mux.HandleFunc("POST "+api.PathReports, ing.serve(door{
+		what: "report", maxBody: hc.MaxBodyBytes,
+		offered: &s.http.offered, served: &s.http.served, shed: &s.http.shed,
+	}))
+	mux.HandleFunc("POST "+api.PathReportsBatch, ing.serve(door{
+		what: "batch", batch: true, maxBody: hc.BatchMaxBodyBytes,
+		offered: &s.http.batchOffered, served: &s.http.batchServed, shed: &s.http.batchShed,
+	}))
 
 	// The rider-facing read endpoints serve pre-rendered bytes from the
 	// current epoch snapshot: a pointer load, an ETag check, a byte write.

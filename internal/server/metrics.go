@@ -84,31 +84,22 @@ func newServiceMetrics(s *Service, reg *obs.Registry) *serviceMetrics {
 	reg.CounterFunc("wilocator_http_panics_total",
 		"Handler panics recovered into a 500.", s.http.panics.Load)
 
-	// Batch-endpoint admission counters and ring occupancy.
+	// Batch-endpoint admission counters and lines awaiting dispatch.
 	reg.CounterFunc("wilocator_http_batches_offered_total",
 		"Batch POSTs that reached the handler (served + shed at quiescence).",
 		s.http.batchOffered.Load)
 	reg.CounterFunc("wilocator_http_batches_served_total",
-		"Batch POSTs run to a response, including partial 429s.",
+		"Batch POSTs admitted and run to a response.",
 		s.http.batchServed.Load)
 	reg.CounterFunc("wilocator_http_batches_shed_total",
-		"Batch POSTs refused outright with 429 before any line was attempted.",
+		"Batch POSTs shed with 429 at the admission bound.",
 		s.http.batchShed.Load)
 	reg.CounterFunc("wilocator_http_batch_reports_total",
 		"Individual report lines attempted via the batch endpoint.",
 		s.http.batchReports.Load)
 	reg.GaugeFunc("wilocator_batch_ring_depth",
-		"Reports currently queued in the batch ingest rings (enqueued - drained).",
-		func() float64 {
-			// drained first: a concurrent enqueue+drain can only make the
-			// difference read high, never negative.
-			d := s.http.ringDrained.Load()
-			e := s.http.ringEnqueued.Load()
-			if e < d {
-				return 0
-			}
-			return float64(e - d)
-		})
+		"Report lines of admitted requests (both doors) decoded but not yet dispatched.",
+		func() float64 { return float64(s.http.pendingLines()) })
 
 	// Locate lookups by method. The counter set of each retired positioner
 	// generation is kept alive by the engine (see engine.retired), so the

@@ -311,7 +311,8 @@ func TestWALObserverMetrics(t *testing.T) {
 // (e.g. served + shed > offered, invalid > rejected) under load.
 func TestHealthSnapshotConsistency(t *testing.T) {
 	w := newObsWorld(t, 16)
-	// A tiny admission bound so shedding actually happens.
+	// A tiny admission bound, shared by both doors, so shedding actually
+	// happens on each.
 	h := NewHandler(w.svc, HandlerConfig{MaxInFlightReports: 2})
 
 	stop := make(chan struct{})
@@ -343,8 +344,9 @@ func TestHealthSnapshotConsistency(t *testing.T) {
 			}
 		}(g)
 	}
-	// Batch writers: the same poisoned payloads as NDJSON frames, moving
-	// the batchOffered/batchServed/batchShed ledger concurrently.
+	// Batch writers: the same poisoned payloads as NDJSON frames, competing
+	// with the single writers for the same admission slots and moving the
+	// batchOffered/batchServed/batchShed ledger concurrently.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
@@ -383,6 +385,9 @@ func TestHealthSnapshotConsistency(t *testing.T) {
 		if st.Located > st.Flushes {
 			t.Fatalf("inconsistent ingest snapshot: located %d > flushes %d", st.Located, st.Flushes)
 		}
+		if p := w.svc.http.pendingLines(); p < 0 {
+			t.Fatalf("in-flight line gauge reads %d", p)
+		}
 		checks++
 	}
 	close(stop)
@@ -405,6 +410,9 @@ func TestHealthSnapshotConsistency(t *testing.T) {
 	}
 	if hs.BatchOffered == 0 || hs.BatchReports == 0 {
 		t.Errorf("batch hammer moved nothing: offered %d, reports %d", hs.BatchOffered, hs.BatchReports)
+	}
+	if p := w.svc.http.pendingLines(); p != 0 {
+		t.Errorf("at quiescence %d lines are still counted in flight", p)
 	}
 	// And the healthz body carries the same ledger.
 	health := w.svc.Health()

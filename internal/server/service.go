@@ -195,12 +195,19 @@ type httpStats struct {
 	batchServed  atomic.Uint64
 	batchShed    atomic.Uint64
 	batchReports atomic.Uint64
-	// Ring occupancy: reports enqueued into / drained from the batch
-	// ingest rings. enqueued is incremented before the ring insert and
-	// drained after processing, so enqueued - drained bounds the true
-	// queued depth from above; at quiescence they are equal.
-	ringEnqueued atomic.Uint64
-	ringDrained  atomic.Uint64
+	// Report lines of admitted requests, single and batch: admitted once
+	// decoded, dispatched once ingested or routed. At quiescence they are
+	// equal.
+	linesAdmitted   atomic.Uint64
+	linesDispatched atomic.Uint64
+}
+
+// pendingLines is the number of report lines admitted but not yet
+// dispatched. dispatched is loaded first: every line it counts was counted
+// in admitted before, so the difference never reads negative.
+func (h *httpStats) pendingLines() int64 {
+	d := h.linesDispatched.Load()
+	return int64(h.linesAdmitted.Load() - d)
 }
 
 // rebuildState tracks diagram rebuilds: the single-flight lock and the
@@ -626,11 +633,16 @@ func (s *Service) flushLocked(ctx context.Context, bs *busState) (locate.Estimat
 	s.stats.flushes.Add(1)
 	fused := sensing.Fuse(bs.bucket)
 	est, crossings, err := bs.tracker.Observe(fused)
+	// Trace notes are formatted only when a tracer records them.
 	if err != nil {
-		s.tracer.Event(ctx, "locate", "no fix: "+err.Error())
+		if s.tracer != nil {
+			s.tracer.Event(ctx, "locate", "no fix: "+err.Error())
+		}
 		return locate.Estimate{}, false
 	}
-	s.tracer.Event(ctx, "locate", fmt.Sprintf("%s fix at arc %.1f", est.Method, est.Arc))
+	if s.tracer != nil {
+		s.tracer.Event(ctx, "locate", fmt.Sprintf("%s fix at arc %.1f", est.Method, est.Arc))
+	}
 	route := bs.tracker.Route()
 	for i := range crossings {
 		c := crossings[i]
