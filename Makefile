@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race flake chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check
+.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race flake chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check bench-vet bench-all
 
 # ci is the full local gate: static checks (vet + the wilint invariant
 # suite and its self-tests), the race-instrumented test suite (including
@@ -10,8 +10,9 @@ FUZZTIME ?= 5s
 # the cluster failover/partition gauntlet, the core tier of the scenario
 # golden corpus, a short fuzz smoke on every fuzz target, a one-iteration
 # benchmark smoke (catches benchmarks that stop compiling or crash,
-# without timing anything) and the SVD-lookup benchmark regression gate.
-ci: lint lint-selftest build race flake chaos failover corpus-short fuzz-smoke bench-smoke bench-check
+# without timing anything), the SVD-lookup benchmark regression gate, and
+# a vet + test pass over the fleet benchmark module.
+ci: lint lint-selftest build race flake chaos failover corpus-short fuzz-smoke bench-smoke bench-check bench-vet
 
 # lint runs every static check: go vet, the project's own wilint
 # multichecker (exits non-zero on any unsuppressed finding), and
@@ -157,3 +158,9 @@ bench-check:
 
 bench-all:
 	$(GO) test -bench=. -benchmem
+
+# bench-vet compiles, vets and unit-tests the fleet benchmark (bench/, a
+# module of its own that builds against internal/server), so a change to
+# the surface it uses fails here rather than at the next benchmark run.
+bench-vet:
+	cd bench && $(GO) vet . && $(GO) test .

@@ -129,11 +129,11 @@ type IngestResponse struct {
 // the lines that were NOT plainly accepted (accepted-and-unremarkable lines
 // are elided, so a clean batch's response stays O(1) regardless of size).
 //
-// On a 429 the server stopped mid-batch because its ingest rings were
-// saturated: lines before Received got verdicts as usual, lines from
-// Received on were never attempted, and the client should resend the tail
-// after RetryAfterSec (Received is a resume cursor, mirrored by the
-// Retry-After header).
+// The server refuses an overloaded batch whole, with a 429 before reading
+// it, and answers every admitted batch in full. Received and RetryAfterSec
+// still define a partial 429 — lines before Received attempted, the tail
+// to be resent after RetryAfterSec — which client.PostReportBatch resumes
+// from, so a server that cuts a batch short stays compatible.
 type BatchResponse struct {
 	// Received counts the leading NDJSON lines the server attempted
 	// (blank lines included). Equal to the line count on a 200.
@@ -147,8 +147,9 @@ type BatchResponse struct {
 	// Items are the verdicts of the attempted lines that were not plainly
 	// accepted, in line order.
 	Items []BatchItem `json:"items,omitempty"`
-	// RetryAfterSec mirrors the Retry-After header on a 429 (whole
-	// seconds, derived from ring depth over measured drain rate).
+	// RetryAfterSec mirrors the Retry-After header on a partial 429 (whole
+	// seconds). The server sends none today: its 429s carry the error
+	// envelope and the Retry-After header only.
 	RetryAfterSec int `json:"retryAfterSec,omitempty"`
 }
 
@@ -199,15 +200,16 @@ type IngestStats struct {
 // requests the hardened HTTP layer refused or survived rather than letting
 // them reach (or crash) the service.
 type HTTPStats struct {
-	// Offered counts every report POST that reached the handler; each one
-	// is either admitted (and eventually counted in Served) or Shed, so at
-	// quiescence Shed + Served == Offered.
+	// Offered counts every single-report POST that reached the handler;
+	// each one is either admitted (and eventually counted in Served) or
+	// Shed, so at quiescence Shed + Served == Offered.
 	Offered uint64 `json:"offered"`
-	// Served counts report POSTs that were admitted and ran to a response
-	// (any status — a 400 for a bad payload still counts as served).
+	// Served counts single-report POSTs that were admitted and ran to a
+	// response (any status — a 400 for a bad payload still counts as
+	// served).
 	Served uint64 `json:"served"`
-	// Shed counts report POSTs refused with 429 + Retry-After because the
-	// ingestion admission bound was saturated.
+	// Shed counts single-report POSTs refused with 429 + Retry-After
+	// because the admission bound, shared with batch POSTs, was saturated.
 	Shed uint64 `json:"shed"`
 	// TooLarge counts request bodies cut off by the size limit (413).
 	TooLarge uint64 `json:"tooLarge"`
@@ -215,9 +217,9 @@ type HTTPStats struct {
 	Panics uint64 `json:"panics"`
 	// BatchOffered counts every batch POST that reached the handler; like
 	// single reports, each is eventually counted in exactly one of
-	// BatchServed (ran to any response, including a mid-batch 429) or
-	// BatchShed (refused outright with 429 before any line was attempted),
-	// so BatchShed + BatchServed <= BatchOffered at every instant.
+	// BatchServed (admitted and run to any response) or BatchShed (refused
+	// with 429 at the admission bound, body unread), so
+	// BatchShed + BatchServed <= BatchOffered at every instant.
 	BatchOffered uint64 `json:"batchOffered"`
 	BatchServed  uint64 `json:"batchServed"`
 	BatchShed    uint64 `json:"batchShed"`
