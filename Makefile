@@ -73,12 +73,14 @@ flake:
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/loadtest ./internal/scenario
 
-# failover runs the cluster kill/partition gauntlet under the race
-# detector: WAL-shipping frame codec properties, leader kill mid-fleet
-# with promoted-replica equivalence, network partition (lag grows, heals),
-# slow-follower convergence and snapshot-rotation resync.
+# failover runs the cluster gauntlet under the race detector: WAL-shipping
+# frame codec properties, leader kill with standby promotion (promoted-
+# replica equivalence, reads and batch-ack durability on the promoted
+# node, a standby's refusal before it, a client riding through the kill),
+# network partition (lag grows, heals), slow-standby convergence and
+# snapshot-rotation resync.
 failover:
-	$(GO) test -race -v -run 'TestFailover|TestCluster|TestShip|TestParseShipFrame|TestRing|TestTopology|TestParsePeers' ./internal/cluster
+	$(GO) test -race -v -run 'TestFailover|TestCluster|TestShip|TestParseShipFrame|TestTopology|TestParsePeers|TestPromotedStandbyServesReads|TestPromotedBatchAckIsDurable|TestStandbyRefusesIngestUntilPromoted|TestClientFailsOverToPromotedStandby' ./internal/cluster
 	$(GO) test -race -v -run 'TestChaosClusterStandbyPromotion' ./internal/scenario
 
 # corpus replays the FULL scenario golden corpus (all six seeded

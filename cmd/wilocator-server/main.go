@@ -11,12 +11,11 @@
 //	                 [-wal-dir history.wal] [-snapshot-every 5m] [-wal-sync-every 64]
 //	                 [-shards 32] [-evict-every 1m] [-build-workers 0]
 //	                 [-rebuild-on-ap-change 30s] [-pprof-addr localhost:6060]
-//	                 [-max-body 1048576] [-max-inflight 256]
-//	                 [-batch-max 4096]
+//	                 [-max-body 1048576] [-max-inflight 256] [-batch-max 4096]
 //	                 [-read-timeout 10s] [-write-timeout 30s] [-idle-timeout 2m]
 //	                 [-no-observability] [-stream-buffer 16] [-stream-max-subs 4096]
-//	                 [-node-id n1 -peers 'n1=http://h1:8421|h1:9090,n2=http://h2:8421|h2:9090[|role]'
-//	                  -role leader|follower] [-replica-root dir]
+//	                 [-node-id n1 -replica-root dir
+//	                  -peers 'n1=http://h1:8421|h1:9090,n2=http://h2:8421|h2:9090|follower']
 //
 // The Signal Voronoi Diagram can be rebuilt at runtime without a restart:
 // POST /v1/admin/rebuild swaps in a diagram built from the deployment's
@@ -25,48 +24,41 @@
 // -pprof-addr serves net/http/pprof on its own listener (keep it loopback or
 // firewalled; the public API listener never exposes it).
 //
-// Travel-time durability comes in two grades:
+// Travel-time durability comes in two grades. -wal-dir is crash-safe:
+// every record is appended to a length+CRC-framed write-ahead log
+// (fsync-batched every -wal-sync-every records), the store is snapshotted
+// atomically every -snapshot-every, and a restart recovers snapshot + WAL,
+// tolerating a torn tail, so a kill -9 loses at most the last fsync batch.
+// -store is the lighter legacy mode: the snapshot is loaded at startup and
+// saved atomically on every exit, error exits included, but records
+// between saves are not durable.
 //
-//   - -wal-dir enables crash-safe persistence: every record is appended to
-//     a length+CRC-framed write-ahead log (fsync-batched every
-//     -wal-sync-every records) and the store is snapshotted atomically
-//     every -snapshot-every. A kill -9 loses at most the last fsync batch;
-//     restart recovers snapshot + WAL automatically, tolerating a torn
-//     tail.
-//   - -store is the lighter legacy mode: the snapshot is loaded at startup
-//     and saved atomically (temp file + rename) on exit — including error
-//     exits — but records between saves are not durable.
+// Both report doors share the -max-inflight admission bound (beyond it:
+// 429 + a Retry-After from the measured drain rate). POST
+// /v1/reports/batch takes NDJSON frames of up to -batch-max reports and,
+// with -wal-dir, fsyncs each frame's records once, before its 200.
 //
-// Batched ingest: POST /v1/reports/batch accepts NDJSON frames of up to
-// -batch-max reports and ingests their lines in order. Both report doors
-// share the -max-inflight admission bound; beyond it a request is shed with
-// 429 and a Retry-After derived from the measured drain rate. With -wal-dir
-// the WAL is fsynced once per frame, before the frame's 200, so every
-// acknowledged batched report is durable.
+// GET /v1/stream?route= serves Server-Sent Events: a snapshot of the
+// route, then one delta per published epoch. A subscriber too slow to
+// drain its -stream-buffer frames is shed and resumes with ?from=<last
+// epoch>; -stream-max-subs bounds subscribers (503 + Retry-After beyond).
+// -write-timeout also cuts long-lived streams (the resume protocol
+// reconnects transparently; set 0 to let connections live longer).
 //
-// Delta push: GET /v1/stream?route= serves Server-Sent Events — a snapshot
-// of the route on connect, then one delta per published epoch. Each
-// subscriber gets a -stream-buffer frame buffer; a subscriber too slow to
-// drain it is shed (stream closed) and resumes with ?from=<last epoch>.
-// -stream-max-subs bounds total concurrent subscribers (beyond it: 503 +
-// Retry-After). Note -write-timeout also cuts long-lived streams; clients
-// using the resume protocol reconnect transparently, but raise it (or set 0)
-// if you want individual connections to live longer.
-//
-// Clustering: -node-id plus -peers (the same string on every node, each
-// entry id=apiURL|replAddr[|role]) runs the server as one node of a
-// geo-sharded cluster. Routes are partitioned over the leader-role nodes
-// by consistent hashing; mis-routed reports are forwarded to their owner,
-// every node replicates the other leaders' travel-time WALs over replAddr
-// (fsync before ack), and when a leader goes silent the lowest surviving
-// node promotes its replica through the standard crash-recovery path and
-// serves the dead node's routes. Cluster mode requires -wal-dir; replicas
-// live under -replica-root (default <wal-dir>/replicas). /v1/healthz
-// reports per-shard replication lag, /metrics exposes it as
-// wilocator_cluster_replication_lag_bytes.
+// Clustering: -node-id plus -peers (identical on every node, entries
+// id=apiURL|replAddr[|role]) make the server one node of a cluster of
+// exactly one leader and zero or more standbys (role follower). The
+// leader serves everything and ships its travel-time WAL to the standbys
+// over replAddr. A standby builds the diagram, replicates under
+// -replica-root (default <wal-dir>/replicas; cluster mode requires
+// -wal-dir), and answers both report doors and the reads with 503 +
+// Retry-After, so clients list every node's URL. When the leader goes
+// silent, the lowest-ID standby opens its replica as a restarted leader
+// opens -wal-dir and becomes the one service.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -74,16 +66,20 @@ import (
 	"hash/fnv"
 	"log"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers on the default mux, served only on -pprof-addr
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"wilocator"
+	"wilocator/internal/api"
 	"wilocator/internal/cluster"
+	"wilocator/internal/obs"
 	"wilocator/internal/server"
 	"wilocator/internal/svd"
 	"wilocator/internal/traveltime"
@@ -122,20 +118,15 @@ func run() error {
 		noObs        = flag.Bool("no-observability", false, "disable the metrics registry and request tracer (GET /metrics, GET /v1/trace/recent answer 404)")
 		streamBuffer = flag.Int("stream-buffer", 0, "per-subscriber SSE frame buffer on GET /v1/stream (0 = default 16; a full buffer sheds the subscriber, who resumes with ?from=)")
 		streamMaxSub = flag.Int("stream-max-subs", 0, "admission bound on concurrent SSE subscribers across all routes (0 = default 4096; beyond it: 503 + Retry-After)")
-		nodeID       = flag.String("node-id", "", "this node's ID in a geo-sharded cluster (empty = single-node mode)")
-		peersSpec    = flag.String("peers", "", "full cluster topology, identical on every node: id=apiURL|replAddr[|role],... (role: leader (default) or follower)")
-		roleFlag     = flag.String("role", "", "cross-check of this node's role in -peers: leader or follower (empty skips the check)")
-		replicaRoot  = flag.String("replica-root", "", "directory for replicas of peer WALs (default: <wal-dir>/replicas)")
+		nodeID       = flag.String("node-id", "", "this node's ID in a leader/standby cluster (empty = single-node mode)")
+		peersSpec    = flag.String("peers", "", "full cluster topology, identical on every node: id=apiURL|replAddr[|role],... (role: leader (default, exactly one) or follower)")
+		replicaRoot  = flag.String("replica-root", "", "directory for a standby's replica of the leader's WAL (default: <wal-dir>/replicas)")
 	)
 	flag.Parse()
 
 	clusterMode := *nodeID != ""
 	if clusterMode && *walDir == "" {
 		return errors.New("cluster mode (-node-id) requires -wal-dir: the WAL is what gets replicated")
-	}
-	var wake *cluster.Wakeup
-	if clusterMode {
-		wake = cluster.NewWakeup()
 	}
 
 	var (
@@ -173,87 +164,96 @@ func run() error {
 	log.Printf("network %s: %d routes, %d road segments, %d APs",
 		*networkKind, len(net.Routes()), net.Graph.NumSegments(), dep.NumAPs())
 
+	// A standby builds the diagram too, so a promotion only replays the
+	// replica.
 	start := time.Now()
-	persistCfg := traveltime.PersistConfig{SyncEvery: *walSyncEvery}
-	if wake != nil {
-		persistCfg.OnDurable = wake.Poke // fsyncs wake the WAL shippers
+	dia, err := wilocator.BuildDiagram(net, dep, svd.Config{Workers: *buildWorkers})
+	if err != nil {
+		return err
 	}
-	sys, err := wilocator.New(net, dep, wilocator.Config{
-		Diagram:              svd.Config{Workers: *buildWorkers},
+	log.Printf("signal Voronoi diagram built in %v (%d tiles, %d cells)",
+		time.Since(start).Round(time.Millisecond), dia.NumTiles(), dia.NumCells())
+	for _, info := range net.TableI() {
+		log.Printf("route %-12s %3d stops  %5.1f km (%.1f km overlapped)",
+			info.Name, info.Stops, info.LengthKm, info.OverlapKm)
+	}
+
+	sysCfg := wilocator.Config{
 		Server: server.Config{
 			Shards:               *shards,
 			StreamBuffer:         *streamBuffer,
 			StreamMaxSubscribers: *streamMaxSub,
 		},
-		PersistDir:           *walDir,
-		Persist:              persistCfg,
+		Persist:              traveltime.PersistConfig{SyncEvery: *walSyncEvery},
 		DisableObservability: *noObs,
-	})
-	if err != nil {
-		return err
 	}
-	log.Printf("signal Voronoi diagram built in %v (%d tiles, %d cells)",
-		time.Since(start).Round(time.Millisecond), sys.Diagram().NumTiles(), sys.Diagram().NumCells())
-
-	for _, info := range sys.RouteInfos() {
-		log.Printf("route %-12s %3d stops  %5.1f km (%.1f km overlapped)",
-			info.Name, info.Stops, info.LengthKm, info.OverlapKm)
+	if !*noObs {
+		// One registry for the process: a standby's cluster instruments go
+		// in before it has a System, and the System it promotes serves them.
+		sysCfg.Server.Metrics = obs.NewRegistry()
 	}
-
-	if *walDir != "" {
-		if ps, ok := sys.PersistStats(); ok {
-			log.Printf("recovered travel-time store from %s: snapshot=%v walReplayed=%d walRejected=%d skippedBytes=%d",
-				*walDir, ps.SnapshotLoaded, ps.WALReplayed, ps.WALRejected, ps.WALSkippedBytes)
+	var topo cluster.Topology
+	wake := cluster.NewWakeup()
+	if clusterMode {
+		if topo.Nodes, err = cluster.ParsePeers(*peersSpec); err != nil {
+			return err
 		}
-	} else if *storePath != "" {
-		if err := loadStore(sys, *storePath); err != nil {
+		sysCfg.Persist.OnDurable = wake.Poke // fsyncs wake the WAL shippers
+	}
+	leader, _ := topo.Leader()
+	standby := clusterMode && leader.ID != *nodeID
+
+	// sys is the System this process serves: opened at startup, or at
+	// promotion on a standby.
+	var (
+		sys  atomic.Pointer[wilocator.System]
+		node *cluster.Node
+	)
+	loopCtx, stopLoops := context.WithCancel(context.Background())
+	defer stopLoops()
+	// open opens the System over dir ("" keeps the store in memory), starts
+	// the loops that act on it, and returns its handler and persister.
+	open := func(dir string) (http.Handler, *traveltime.Persister, error) {
+		cfg := sysCfg
+		cfg.PersistDir = dir
+		s, err := wilocator.Open(dia, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		hc := wilocator.HandlerConfig{MaxBodyBytes: *maxBody, MaxInFlightReports: *maxInflight, BatchMaxReports: *batchMax}
+		if p := s.Persister(); p != nil {
+			// Group commit: one fsync per batch, before its 200. Assigned
+			// only with a persister, so the interface is never typed-nil.
+			hc.GroupCommit = p
+			ps := p.Stats()
+			log.Printf("recovered travel-time store from %s: snapshot=%v walReplayed=%d walRejected=%d skippedBytes=%d",
+				dir, ps.SnapshotLoaded, ps.WALReplayed, ps.WALRejected, ps.WALSkippedBytes)
+		} else if *storePath != "" {
+			if err := loadStore(s, *storePath); err != nil {
+				return nil, nil, err
+			}
+		}
+		if clusterMode {
+			s.Service().SetClusterStatus(func() *api.ClusterStatus { return node.Status() })
+		}
+		startLoops(loopCtx, s, dep, *evictEvery, *snapEvery, *rebuildPoll)
+		sys.Store(s)
+		return s.HandlerWith(hc), s.Persister(), nil
+	}
+
+	var handler http.Handler
+	var persister *traveltime.Persister
+	if !standby {
+		if handler, persister, err = open(*walDir); err != nil {
 			return err
 		}
 	}
-
-	// Cluster mode: join the static topology — serve our ring range, ship
-	// our WAL to peers, replicate theirs, and promote on leader loss.
-	var node *cluster.Node
-	handlerCfg := wilocator.HandlerConfig{
-		MaxBodyBytes:       *maxBody,
-		MaxInFlightReports: *maxInflight,
-		BatchMaxReports:    *batchMax,
-	}
-	// Group commit amortises WAL fsyncs across whole batches while keeping
-	// fsync-before-ack: assign only when a persister exists, so the
-	// interface stays nil (not typed-nil) in memory-only mode.
-	if p := sys.Persister(); p != nil {
-		handlerCfg.GroupCommit = p
-	}
 	if clusterMode {
-		peers, perr := cluster.ParsePeers(*peersSpec)
-		if perr != nil {
-			return perr
-		}
-		topo := cluster.Topology{Nodes: peers}
-		self, ok := topo.Node(*nodeID)
-		if !ok {
-			return fmt.Errorf("cluster: -node-id %s not present in -peers", *nodeID)
-		}
-		if *roleFlag != "" && *roleFlag != string(self.Role) && !(*roleFlag == "leader" && self.Role == "") {
-			return fmt.Errorf("cluster: -role %s contradicts -peers role %q for %s", *roleFlag, self.Role, *nodeID)
-		}
-		root := *replicaRoot
-		if root == "" {
-			root = filepath.Join(*walDir, "replicas")
-		}
 		node, err = cluster.NewNode(cluster.Config{
-			Self:        *nodeID,
-			Topology:    topo,
-			ReplicaRoot: root,
-			Service:     sys.Service(),
-			Persister:   sys.Persister(),
-			Wake:        wake,
-			NewStore:    sys.NewTravelTimeStore,
-			NewService:  sys.NewShardService,
-			Persist:     traveltime.PersistConfig{SyncEvery: *walSyncEvery},
-			Metrics:     sys.Metrics(),
-			Logf:        log.Printf,
+			Self: *nodeID, Topology: topo, Wake: wake,
+			ReplicaRoot: cmp.Or(*replicaRoot, filepath.Join(*walDir, "replicas")),
+			Handler:     handler, Persister: persister, Promote: open,
+			Metrics: sysCfg.Server.Metrics, Logf: log.Printf,
 		})
 		if err != nil {
 			return err
@@ -261,89 +261,27 @@ func run() error {
 		if err := node.Start(context.Background()); err != nil {
 			return err
 		}
-		defer node.Close()
-		sys.Service().SetClusterStatus(node.Status)
-		handlerCfg.Router = node
-		log.Printf("cluster node %s (%s): replication on %s, %d peers",
-			*nodeID, self.Role, node.ReplListenAddr(), len(peers)-1)
+		handler = node
+		log.Printf("cluster node %s (standby %v, leader %s): replication on %s, %d peers",
+			*nodeID, standby, leader.ID, node.ReplListenAddr(), len(topo.Nodes)-1)
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: sys.HandlerWith(handlerCfg),
+		Addr:              *addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
 
-	// Sweep finished and stale buses periodically so a long-running server's
-	// tracking state stays bounded by the live fleet, not its history.
-	if *evictEvery > 0 {
-		ticker := time.NewTicker(*evictEvery)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				if n := sys.EvictStale(); n > 0 {
-					log.Printf("evicted %d stale buses", n)
-				}
-			}
-		}()
-	}
-
-	// Watch the deployment for AP dynamics: when the active-AP fingerprint
-	// changes (APs deactivated or reactivated through the library), rebuild
-	// the diagram and hot-swap it under the live traffic.
-	if *rebuildPoll > 0 {
-		apTicker := time.NewTicker(*rebuildPoll)
-		defer apTicker.Stop()
-		go func() {
-			last := activeAPFingerprint(dep)
-			for range apTicker.C {
-				fp := activeAPFingerprint(dep)
-				if fp == last {
-					continue
-				}
-				resp, err := sys.Rebuild(context.Background())
-				if err != nil {
-					if !errors.Is(err, server.ErrRebuildInProgress) {
-						log.Printf("rebuild on AP change: %v", err)
-					}
-					continue // fingerprint unchanged: retry next tick
-				}
-				last = fp
-				log.Printf("AP set changed; rebuilt diagram in %.0f ms (generation %d, %d tiles, %d cells)",
-					resp.DurationMS, resp.Generation, resp.Tiles, resp.Cells)
-			}
-		}()
-	}
-
-	// pprof gets its own listener so profiling is never reachable through
-	// the public API address.
+	// pprof is served from its own listener (net/http/pprof registers on
+	// the default mux, which the API never serves).
 	if *pprofAddr != "" {
-		pprofMux := http.NewServeMux()
-		pprofMux.HandleFunc("/debug/pprof/", pprof.Index)
-		pprofMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			log.Printf("serving pprof on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pprofMux); err != nil {
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-
-	// Roll periodic snapshots so WAL replay at the next start stays short.
-	if *walDir != "" && *snapEvery > 0 {
-		snapTicker := time.NewTicker(*snapEvery)
-		defer snapTicker.Stop()
-		go func() {
-			for range snapTicker.C {
-				if err := sys.SnapshotTravelTimes(); err != nil {
-					log.Printf("snapshot: %v", err)
-				}
 			}
 		}()
 	}
@@ -373,13 +311,25 @@ func run() error {
 		cancel()
 	}
 
-	// Stop the snapshot pump and close every SSE subscriber before flushing:
-	// clients see EOF and reconnect elsewhere with ?from=<last epoch>.
-	if err := sys.Service().Close(); err != nil {
-		log.Printf("close read path: %v", err)
+	// Stop replicating first, so no promotion races the flush below.
+	if node != nil {
+		if err := node.Close(); err != nil {
+			log.Printf("close cluster node: %v", err)
+		}
+	}
+	stopLoops()
+	final := sys.Load()
+	if final == nil {
+		log.Printf("standby %s exits unpromoted", *nodeID)
+		return serveErr
 	}
 
-	if err := flushStore(sys, *walDir, *storePath); err != nil {
+	// Stop the snapshot pump and close every SSE subscriber before flushing:
+	// clients see EOF and reconnect elsewhere with ?from=<last epoch>.
+	if err := final.Service().Close(); err != nil {
+		log.Printf("close read path: %v", err)
+	}
+	if err := flushStore(final, *storePath); err != nil {
 		if serveErr != nil {
 			log.Printf("flush store: %v", err)
 			return serveErr
@@ -387,26 +337,79 @@ func run() error {
 		return err
 	}
 
-	st := sys.Stats()
+	st := final.Stats()
 	log.Printf("ingest stats: accepted=%d rejected=%d invalid=%d late-dropped=%d flushes=%d located=%d registered=%d evicted=%d",
 		st.Accepted, st.Rejected, st.Invalid, st.LateDropped, st.Flushes, st.Located, st.Registered, st.Evicted)
 	return serveErr
 }
 
+// startLoops runs the periodic work on a System until ctx ends: the
+// stale-bus eviction sweep, store snapshots and the AP-change rebuild
+// watcher. It runs once per System, when the System opens.
+func startLoops(ctx context.Context, sys *wilocator.System, dep *wilocator.Deployment, evictEvery, snapEvery, rebuildPoll time.Duration) {
+	every := func(d time.Duration, tick func()) {
+		if d <= 0 {
+			return
+		}
+		go func() {
+			t := time.NewTicker(d)
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					tick()
+				}
+			}
+		}()
+	}
+	// Eviction bounds the tracking state by the live fleet, not its history.
+	every(evictEvery, func() {
+		if n := sys.EvictStale(); n > 0 {
+			log.Printf("evicted %d stale buses", n)
+		}
+	})
+	// Periodic snapshots keep WAL replay at the next start short.
+	if _, ok := sys.PersistStats(); ok {
+		every(snapEvery, func() {
+			if err := sys.SnapshotTravelTimes(); err != nil {
+				log.Printf("snapshot: %v", err)
+			}
+		})
+	}
+	// When the active-AP set changes (APs switched through the library),
+	// rebuild the diagram under live traffic; a failure retries next tick.
+	last := activeAPFingerprint(dep)
+	every(rebuildPoll, func() {
+		if fp := activeAPFingerprint(dep); fp != last {
+			resp, err := sys.Rebuild(ctx)
+			if err != nil {
+				if !errors.Is(err, server.ErrRebuildInProgress) {
+					log.Printf("rebuild on AP change: %v", err)
+				}
+				return
+			}
+			last = fp
+			log.Printf("AP set changed; rebuilt diagram in %.0f ms (generation %d, %d tiles, %d cells)",
+				resp.DurationMS, resp.Generation, resp.Tiles, resp.Cells)
+		}
+	})
+}
+
 // flushStore makes the travel-time history durable on exit: a final
-// snapshot + WAL close in -wal-dir mode, an atomic snapshot file in -store
+// snapshot + WAL close with persistence, an atomic snapshot file in -store
 // mode.
-func flushStore(sys *wilocator.System, walDir, storePath string) error {
-	switch {
-	case walDir != "":
+func flushStore(sys *wilocator.System, storePath string) error {
+	if _, persisted := sys.PersistStats(); persisted {
 		if err := sys.SnapshotTravelTimes(); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
 		if err := sys.ClosePersistence(); err != nil {
 			return fmt.Errorf("close WAL: %w", err)
 		}
-		log.Printf("travel-time store snapshotted in %s", walDir)
-	case storePath != "":
+		log.Printf("travel-time store snapshotted")
+	} else if storePath != "" {
 		if err := sys.SaveTravelTimesFile(storePath); err != nil {
 			return fmt.Errorf("save store: %w", err)
 		}
@@ -419,17 +422,13 @@ func flushStore(sys *wilocator.System, walDir, storePath string) error {
 // fingerprint equal iff the same APs are active, so the rebuild watcher
 // triggers exactly on AP dynamics (and never on a mere re-poll).
 func activeAPFingerprint(dep *wilocator.Deployment) uint64 {
-	aps := dep.ActiveAPs()
-	ids := make([]string, len(aps))
-	for i, ap := range aps {
-		ids[i] = string(ap.BSSID)
+	var ids []string
+	for _, ap := range dep.ActiveAPs() {
+		ids = append(ids, string(ap.BSSID))
 	}
 	sort.Strings(ids)
 	h := fnv.New64a()
-	for _, id := range ids {
-		h.Write([]byte(id))
-		h.Write([]byte{0})
-	}
+	h.Write([]byte(strings.Join(ids, "\x00")))
 	return h.Sum64()
 }
 
@@ -440,8 +439,7 @@ func loadStore(sys *wilocator.System, path string) error {
 	if errors.Is(err, os.ErrNotExist) {
 		log.Printf("store %s does not exist yet; starting empty", path)
 		return nil
-	}
-	if err != nil {
+	} else if err != nil {
 		return err
 	}
 	defer f.Close()

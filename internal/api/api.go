@@ -5,7 +5,6 @@
 package api
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -332,8 +331,8 @@ type HealthResponse struct {
 	Rebuild     RebuildStats `json:"rebuild"`
 	// Persist is present when the server runs with a write-ahead log.
 	Persist *traveltime.PersistStats `json:"persist,omitempty"`
-	// Cluster is present when the server runs as a geo-sharded cluster
-	// node: its role, and per-shard replication state.
+	// Cluster is present when the server runs as a cluster node: its
+	// role, and the replication state of the leader's lineage.
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
 }
 
@@ -343,30 +342,30 @@ type ClusterStatus struct {
 	NodeID string `json:"nodeId"`
 	// Role is "leader" or "follower" (the node's configured role).
 	Role string `json:"role"`
-	// Shards lists every WAL lineage this node knows about: its own (as
-	// leader) and each one it replicates or has promoted.
+	// Shards holds the one WAL lineage of the cluster, the leader's, as
+	// this node sees it: shipped, replicated or promoted.
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
-// ShardStatus is the replication state of one geo-shard (one leader's WAL
-// lineage) as seen from the reporting node.
+// ShardStatus is the replication state of the leader's WAL lineage as
+// seen from the reporting node.
 type ShardStatus struct {
-	// Owner is the node currently owning the shard's ring range; after a
-	// failover it is the promoted survivor, not the original leader.
+	// Owner is the node serving the lineage; after a failover it is the
+	// promoted survivor, not the original leader.
 	Owner string `json:"owner"`
 	// Origin is the node the lineage originally belonged to.
 	Origin string `json:"origin"`
-	// Local reports whether this node serves the shard (it is the owner).
+	// Local reports whether this node serves the lineage (it is the owner).
 	Local bool `json:"local"`
-	// Promoted reports whether the shard moved here through a failover.
+	// Promoted reports whether the lineage moved here through a failover.
 	Promoted bool `json:"promoted"`
 	// ReplicationLagBytes is the leader's durable WAL frontier minus the
 	// acknowledged follower offset (leader view) or minus the local replica
 	// length (follower view). Zero means the replica is caught up.
 	ReplicationLagBytes int64 `json:"replicationLagBytes"`
-	// WALDurableBytes is the durable frontier of the shard's WAL.
+	// WALDurableBytes is the durable frontier of the lineage's WAL.
 	WALDurableBytes int64 `json:"walDurableBytes"`
-	// Generation is the shard's persistence lineage generation.
+	// Generation is the lineage's persistence generation.
 	Generation uint64 `json:"generation"`
 }
 
@@ -448,13 +447,6 @@ type AnomalyReport struct {
 	// Pos is the site's centre on the road.
 	Pos geo.Point `json:"pos"`
 }
-
-// ErrShardUnavailable signals that the cluster node owning a report's
-// route is temporarily unreachable (mid-failover, partitioned, or down and
-// not yet promoted). The HTTP layer maps it to 503 with a Retry-After
-// hint, which the client's retry loop honors. Defined here rather than in
-// the cluster package so the server can match it without importing cluster.
-var ErrShardUnavailable = errors.New("shard owner unavailable")
 
 // Error is the JSON error envelope.
 type Error struct {

@@ -50,7 +50,8 @@ func (c *Client) PostReportBatch(ctx context.Context, reps []api.Report) (api.Ba
 			body.WriteByte('\n')
 		}
 		attempt++
-		resp, err, retryable, retryAfter := c.attemptBatch(ctx, body.Bytes())
+		i, base := c.node()
+		resp, err, retryable, retryAfter := c.attemptBatch(ctx, base, body.Bytes())
 		if err == nil || retryable {
 			// Full or partial progress: fold this frame's verdicts in.
 			mergeBatch(&agg, resp, start)
@@ -67,6 +68,7 @@ func (c *Client) PostReportBatch(ctx context.Context, reps []api.Report) (api.Ba
 				wait = c.retry.BaseDelay
 			}
 		}
+		retryAfter = c.failed(i, err, retryable, retryAfter)
 		if !retryable || attempt >= c.retry.MaxAttempts || ctx.Err() != nil {
 			return agg, err
 		}
@@ -92,8 +94,8 @@ func (c *Client) PostReportBatch(ctx context.Context, reps []api.Report) (api.Ba
 // attemptBatch makes one batch round trip. On 429 the response body is
 // still a BatchResponse (the partial verdicts plus the resume cursor), so
 // unlike attempt it decodes the envelope on that status too.
-func (c *Client) attemptBatch(ctx context.Context, body []byte) (resp api.BatchResponse, err error, retryable bool, retryAfter time.Duration) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+api.PathReportsBatch, bytes.NewReader(body))
+func (c *Client) attemptBatch(ctx context.Context, base string, body []byte) (resp api.BatchResponse, err error, retryable bool, retryAfter time.Duration) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+api.PathReportsBatch, bytes.NewReader(body))
 	if err != nil {
 		return resp, fmt.Errorf("client: new request: %w", err), false, 0
 	}

@@ -372,3 +372,33 @@ func TestRetryPostReportResendsBody(t *testing.T) {
 		t.Fatalf("retried body differs or is empty:\n  first  %q\n  second %q", bodies[0], bodies[1])
 	}
 }
+
+// TestFailoverMovesToNextNode: a client listing several nodes moves to the
+// next one on a 503 (without waiting out the refusing node's Retry-After)
+// and on a connection error, stays there for later calls, and spends one
+// attempt of its budget per move.
+func TestFailoverMovesToNextNode(t *testing.T) {
+	h := &retryHarness{rand: 1.0}
+	standby, standbyCalls := flakyServer(t, 1<<30, http.StatusServiceUnavailable, http.Header{"Retry-After": []string{"30"}})
+	leader, leaderCalls := flakyServer(t, 0, http.StatusOK, nil)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	c, err := NewFailover([]string{dead.URL, standby.URL, leader.URL}, nil, h.config(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Health(context.Background()); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if *standbyCalls != 1 || *leaderCalls != 2 {
+		t.Fatalf("standby got %d calls, leader %d; want 1 and 2", *standbyCalls, *leaderCalls)
+	}
+	if len(h.slept) != 2 || h.slept[1] >= time.Second {
+		t.Fatalf("waits = %v, want two backoff waits, not the standby's 30 s hint", h.slept)
+	}
+	if _, err := NewFailover(nil, nil, RetryConfig{}); err == nil {
+		t.Error("NewFailover accepted an empty URL list")
+	}
+}

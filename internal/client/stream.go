@@ -54,7 +54,8 @@ func (c *Client) StreamRoute(ctx context.Context, routeID string, from uint64, f
 	wait := c.retry.BaseDelay
 	failures := 0
 	for {
-		progressed, err := c.streamOnce(ctx, routeID, &last, fn)
+		i, base := c.node()
+		progressed, err := c.streamOnce(ctx, base, routeID, &last, fn)
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -68,6 +69,7 @@ func (c *Client) StreamRoute(ctx context.Context, routeID string, from uint64, f
 			if te, ok := err.(*termError); ok {
 				return te.err // the consumer stopped the stream, or version skew
 			}
+			c.failed(i, err, true, 0)
 		}
 		if progressed {
 			// The connection worked; a later drop starts a fresh streak.
@@ -116,13 +118,13 @@ func isStatus(err error, out **StatusError) bool {
 // streamOnce runs one stream connection until it ends, updating *last as
 // events are applied. progressed reports whether at least one event was
 // delivered to fn.
-func (c *Client) streamOnce(ctx context.Context, routeID string, last *uint64, fn func(StreamEvent) error) (progressed bool, err error) {
+func (c *Client) streamOnce(ctx context.Context, base, routeID string, last *uint64, fn func(StreamEvent) error) (progressed bool, err error) {
 	q := url.Values{}
 	q.Set("route", routeID)
 	if *last > 0 {
 		q.Set("from", strconv.FormatUint(*last, 10))
 	}
-	u := c.base + api.PathStream + "?" + q.Encode()
+	u := base + api.PathStream + "?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return false, fmt.Errorf("client: new stream request: %w", err)

@@ -1,35 +1,33 @@
-// Package cluster turns single-process WiLocator into a statically
-// configured, geo-sharded multi-node deployment (the ROADMAP's staged
-// multi-node item: static split → WAL follower → failover, landed as one
-// stage-1).
+// Package cluster runs WiLocator as one leader and zero or more warm
+// standbys, so losing the leader's machine does not lose the travel-time
+// history or the service.
 //
 // # Model
 //
-// Buses are partitioned by route: a consistent-hash ring over the
-// topology's leader nodes maps every route ID to the node that ingests it,
-// so one city region (its routes, buses, travel-time history) lives on one
-// node and a node loss dims one region instead of the whole metro area.
-// Reports that arrive at the wrong node are forwarded to the owner over
-// the ordinary HTTP API with bounded retry/backoff; queries stay local to
-// each node's shard.
+// The leader is the one back-end server the paper describes: it ingests
+// every route, so Eq. 8's cross-route correction sees every bus. Standbys
+// serve nothing. Until one is promoted it answers both report doors and
+// the reads with 503 + Retry-After; clients list every node's URL and
+// move to the next one on that 503 or on a connection error.
 //
-// Durability crosses nodes by WAL shipping: every node streams its
+// Durability crosses nodes by WAL shipping: the leader streams its
 // travel-time persistence lineage (snapshot + CRC-framed WAL, exactly the
-// on-disk format of traveltime.Persister) to every peer over a
-// length-prefixed, CRC-checked TCP stream. Followers fsync before acking,
+// on-disk format of traveltime.Persister) to every standby over a
+// length-prefixed, CRC-checked TCP stream. Standbys fsync before acking,
 // so an acked offset is durable on both sides; the leader's durable
-// frontier minus the follower's acked offset is the replication lag,
-// exposed per shard on /metrics and in /v1/healthz.
+// frontier minus a standby's acked offset is the replication lag, exposed
+// on /metrics and in /v1/healthz.
 //
-// Failover is promotion of a shipped replica: when a node stops hearing
-// its leader for FailoverAfter, the designated survivor (lowest node ID
-// excluding the dead leader) opens the replica directory through
-// traveltime.OpenPersister — a connection torn mid-frame leaves exactly
-// the torn tail the PR-2 recovery path truncates — builds a fresh service
-// over the recovered store, and takes over the dead node's ring range.
-// Every surviving node re-routes the range to the survivor, so forwarding
-// converges without coordination. The design invariants (single-writer
-// WAL, ack-before-trim, idempotent replay) are recorded in DESIGN.md.
+// Failover is promotion of the shipped replica: when the standbys stop
+// hearing the leader for FailoverAfter, the designated survivor (lowest
+// node ID other than the leader) closes its replica and hands the
+// directory to Config.Promote, which opens it as a restarted leader opens
+// its own -wal-dir — traveltime.OpenPersister truncates a tail torn
+// mid-frame — and returns the new System's handler. From then on the
+// survivor is the one service. It ships to nobody: there is no standby
+// again until the operator starts one. The design invariants
+// (single-writer WAL, ack-before-trim, idempotent replay) are recorded in
+// DESIGN.md.
 //
 // Every RPC path in this package takes a caller context and bounds its
 // network operations with deadlines; the clusterctx wilint analyzer
@@ -39,7 +37,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -47,19 +44,20 @@ import (
 type Role string
 
 const (
-	// RoleLeader nodes own a range of the route ring and ingest for it.
+	// RoleLeader is the one node that ingests and serves.
 	RoleLeader Role = "leader"
-	// RoleFollower nodes own no ring range: they replicate every leader's
-	// WAL and exist to be promoted (a warm standby).
+	// RoleFollower nodes replicate the leader's WAL and exist to be
+	// promoted (a warm standby).
 	RoleFollower Role = "follower"
 )
 
 // NodeSpec describes one node of the static topology.
 type NodeSpec struct {
-	// ID is the node's unique name (also its shard label in metrics).
+	// ID is the node's unique name (the leader's is the lineage label in
+	// metrics).
 	ID string
-	// Addr is the node's HTTP API base URL (e.g. "http://10.0.0.1:8421"),
-	// the target for forwarded reports.
+	// Addr is the node's HTTP API base URL (e.g. "http://10.0.0.1:8421"):
+	// one of the URLs clients list.
 	Addr string
 	// ReplAddr is the host:port of the node's WAL-shipping listener.
 	ReplAddr string
@@ -67,23 +65,21 @@ type NodeSpec struct {
 	Role Role
 }
 
+func (n NodeSpec) isLeader() bool { return n.Role == RoleLeader || n.Role == "" }
+
 // Topology is the full static node set, identical on every node.
 type Topology struct {
 	Nodes []NodeSpec
-	// VNodes is the number of ring points per leader (default 64).
-	VNodes int
 }
 
-// Leaders returns the leader-role nodes sorted by ID (the ring members).
-func (t Topology) Leaders() []NodeSpec {
-	var out []NodeSpec
+// Leader returns the topology's one leader-role node.
+func (t Topology) Leader() (NodeSpec, bool) {
 	for _, n := range t.Nodes {
-		if n.Role == RoleLeader || n.Role == "" {
-			out = append(out, n)
+		if n.isLeader() {
+			return n, true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return NodeSpec{}, false
 }
 
 // Node returns the spec of id.
@@ -96,13 +92,14 @@ func (t Topology) Node(id string) (NodeSpec, bool) {
 	return NodeSpec{}, false
 }
 
-// Validate checks the topology is usable: unique non-empty IDs, at least
+// Validate checks the topology is usable: unique non-empty IDs, exactly
 // one leader, and addresses present on every node.
 func (t Topology) Validate() error {
 	if len(t.Nodes) < 2 {
 		return fmt.Errorf("cluster: topology needs at least 2 nodes, got %d", len(t.Nodes))
 	}
 	seen := map[string]bool{}
+	leaders := 0
 	for _, n := range t.Nodes {
 		if n.ID == "" {
 			return fmt.Errorf("cluster: node with empty ID")
@@ -114,17 +111,21 @@ func (t Topology) Validate() error {
 		if n.ReplAddr == "" {
 			return fmt.Errorf("cluster: node %s has no replication address", n.ID)
 		}
+		if n.isLeader() {
+			leaders++
+		}
 	}
-	if len(t.Leaders()) == 0 {
-		return fmt.Errorf("cluster: topology has no leader-role node")
+	if leaders != 1 {
+		return fmt.Errorf("cluster: topology needs exactly one leader-role node, got %d", leaders)
 	}
 	return nil
 }
 
 // Survivor returns the designated promotion target for a dead node: the
 // lowest node ID in the topology excluding dead. Every node computes the
-// same answer from the same static topology, so re-routing converges
-// without coordination. ok is false when the topology holds no other node.
+// same answer from the same static topology, so exactly one standby
+// promotes without any coordination. ok is false when the topology holds
+// no other node.
 func (t Topology) Survivor(dead string) (string, bool) {
 	best := ""
 	for _, n := range t.Nodes {
@@ -143,8 +144,9 @@ func (t Topology) Survivor(dead string) (string, bool) {
 //	id=apiURL|replAddr[|role][,id=apiURL|replAddr[|role]...]
 //
 // e.g. "n1=http://10.0.0.1:8421|10.0.0.1:9421,n3=http://10.0.0.3:8421|10.0.0.3:9421|follower".
-// Role defaults to leader. The string must be identical on every node —
-// roles shape the ring, and rings must agree cluster-wide.
+// Role defaults to leader, and exactly one node may be the leader. The
+// string must be identical on every node: it fixes the leader and the
+// order in which standbys take over.
 func ParsePeers(s string) ([]NodeSpec, error) {
 	var out []NodeSpec
 	for _, part := range strings.Split(s, ",") {

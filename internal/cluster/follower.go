@@ -15,15 +15,15 @@ import (
 // replicaRunner maintains this node's replica of one remote leader's WAL
 // lineage: it dials the leader's shipping listener (with backoff), pulls
 // snapshot resyncs and WAL chunks, fsyncs each chunk before acking, and —
-// when the leader falls silent for FailoverAfter — declares it dead and
-// triggers re-routing (and, on the designated survivor, promotion).
+// when the leader falls silent for FailoverAfter — declares it dead and,
+// on the designated survivor, promotes the replica.
 type replicaRunner struct {
 	node   *Node
 	leader NodeSpec
 	rep    *traveltime.Replica
 
 	// Observability snapshots, updated by the stream goroutine and read by
-	// Status/lagFor/metrics without touching the non-concurrency-safe rep.
+	// Status/lag/metrics without touching the non-concurrency-safe rep.
 	gen           atomic.Uint64
 	localLen      atomic.Int64
 	leaderDurable atomic.Int64
@@ -217,17 +217,22 @@ func (r *replicaRunner) stream(ctx context.Context, conn net.Conn) error {
 	}
 }
 
-// failover declares the leader dead, re-routes its range, and promotes the
-// local replica when this node is the designated survivor.
+// failover declares the leader dead and, on the designated survivor,
+// promotes the local replica.
 func (r *replicaRunner) failover(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	survivorIsSelf := r.node.noteLeaderLoss(r.leader.ID)
-	if !survivorIsSelf || r.node.cfg.DisablePromotion {
+	n := r.node
+	surv, _ := n.cfg.Topology.Survivor(r.leader.ID)
+	n.mu.Lock()
+	n.owner = surv
+	n.mu.Unlock()
+	n.logf("cluster %s: leader %s lost; %s takes over", n.self.ID, r.leader.ID, surv)
+	if surv != n.self.ID {
 		return
 	}
-	if err := r.node.promote(r.leader.ID, r.rep); err != nil {
-		r.node.logf("cluster %s: promotion of %s FAILED: %v", r.node.self.ID, r.leader.ID, err)
+	if err := n.promote(r.rep); err != nil {
+		n.logf("cluster %s: promotion of %s FAILED: %v", n.self.ID, r.leader.ID, err)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,9 +12,7 @@ import (
 	"time"
 
 	"wilocator/internal/api"
-	"wilocator/internal/client"
 	"wilocator/internal/obs"
-	"wilocator/internal/server"
 	"wilocator/internal/traveltime"
 )
 
@@ -53,31 +52,31 @@ type Config struct {
 	Self string
 	// Topology is the full static node set, identical on every node.
 	Topology Topology
-	// ReplicaRoot is the directory under which replicas of peer WALs live
-	// (one subdirectory per peer, see traveltime.ReplicaDirFor).
+	// ReplicaRoot is the directory under which a standby keeps its replica
+	// of the leader's WAL (see traveltime.ReplicaDirFor).
 	ReplicaRoot string
 
-	// Service ingests this node's own shard; Persister is its WAL (the
-	// lineage shipped to peers). Both nil on a pure follower node.
-	Service   *server.Service
+	// Handler and Persister are the leader's System: the HTTP API the node
+	// serves and the WAL lineage it ships to the standbys. Both are nil on
+	// a standby, which gets them from Promote.
+	Handler   http.Handler
 	Persister *traveltime.Persister
 	// Wake, when set, wakes shippers on fsync instead of polling; wire its
 	// Poke into the Persister's PersistConfig.OnDurable.
 	Wake *Wakeup
 
-	// NewStore and NewService build the replacement shard at promotion:
-	// NewStore a fresh travel-time store for recovery to fill, NewService
-	// the serving stack over it. The sink and stats arguments come from the
-	// promoted persister. NewService implementations must not reuse an
-	// obs.Registry already holding a service's instruments (pass nil).
-	NewStore   func() *traveltime.Store
-	NewService func(store *traveltime.Store, sink func(traveltime.Record) error, stats func() traveltime.PersistStats) (*server.Service, error)
-	// Persist configures the promoted persister (SyncEvery etc.).
-	Persist traveltime.PersistConfig
+	// Promote turns a standby into the one service once the leader is
+	// declared dead and this node is its designated survivor. dir is the
+	// closed replica directory. Promote opens a System over it exactly as
+	// a restarted leader opens its own persistence directory
+	// (traveltime.OpenPersister truncates a shipped tail torn mid-frame)
+	// and returns that System's handler and persister. Required on a
+	// standby.
+	Promote func(dir string) (http.Handler, *traveltime.Persister, error)
 
 	// HeartbeatEvery paces leader heartbeats on idle streams (default
-	// 500 ms). FailoverAfter is how long a follower tolerates silence from
-	// a leader before declaring it dead (default 3 s; must comfortably
+	// 500 ms). FailoverAfter is how long a standby tolerates silence from
+	// the leader before declaring it dead (default 3 s; must comfortably
 	// exceed HeartbeatEvery). DialTimeout bounds one connect attempt
 	// (default 1 s) and WriteTimeout one stream write (default 5 s).
 	HeartbeatEvery time.Duration
@@ -85,20 +84,13 @@ type Config struct {
 	DialTimeout    time.Duration
 	WriteTimeout   time.Duration
 
-	// ForwardTimeout bounds one forwarded report end to end, retries
-	// included (default 5 s); Retry tunes the forwarding client's backoff.
-	ForwardTimeout time.Duration
-	Retry          client.RetryConfig
-
 	// Metrics, when set, receives the cluster instruments (replication lag,
-	// leadership, promotions, forwards).
+	// leadership, promotions). A standby serves it on /metrics until it is
+	// promoted; pass the same registry to the promoted System.
 	Metrics *obs.Registry
 	// Logf, when set, receives cluster lifecycle events (connects,
 	// resyncs, failovers). Nil silences them.
 	Logf func(format string, args ...any)
-	// DisablePromotion keeps this node a permanent follower: it tracks
-	// leader loss and re-routes, but never promotes a replica itself.
-	DisablePromotion bool
 	// Listener, when set, is the pre-bound replication listener (tests use
 	// one to grab a free port); otherwise the node listens on Self's
 	// ReplAddr.
@@ -118,22 +110,10 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 5 * time.Second
-	}
 	return c
 }
 
-// activeShard is one geo-shard this node serves: its own, or a replica it
-// promoted after the origin leader died.
-type activeShard struct {
-	origin   string // lineage origin node ID
-	svc      *server.Service
-	persist  *traveltime.Persister
-	promoted bool
-}
-
-// followerTrack is the leader-side replication state of one follower. The
+// followerTrack is the leader-side replication state of one standby. The
 // acked offset survives disconnects deliberately: during a partition the
 // durable frontier keeps advancing over a frozen ack, so the lag gauge
 // grows — exactly the signal an operator needs.
@@ -143,32 +123,32 @@ type followerTrack struct {
 	connected bool
 }
 
-// Node is one member of the cluster: it serves its ring range locally,
-// forwards mis-routed reports to their owners, ships its WAL to every
-// peer, replicates every peer's WAL, and promotes a replica when its
-// leader dies. Start it once; Dispatch is safe for concurrent use.
+// Node is one member of the cluster. The leader serves its System and
+// ships its WAL to every standby. A standby replicates that WAL, refuses
+// service until promoted, and becomes the one service when the leader
+// dies. Start it once; it is the node's HTTP handler.
 type Node struct {
-	cfg  Config
-	self NodeSpec
-	ring *Ring
+	cfg    Config
+	self   NodeSpec
+	leader NodeSpec
+	runner *replicaRunner // a standby's replica of the leader; nil on the leader
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	lst    net.Listener
 	wg     sync.WaitGroup
 
+	serving atomic.Pointer[http.Handler] // nil while a standby
+
 	mu        sync.Mutex
-	active    map[string]*activeShard   // origin node ID → shard served here
-	runners   map[string]*replicaRunner // leader node ID → replication runner
-	overrides map[string]string         // dead node ID → survivor (ring patch)
-	followers map[string]*followerTrack // follower node ID → ack track
+	persist   *traveltime.Persister // the lineage served here: the leader's own, or the promoted replica
+	promoted  bool
+	owner     string                    // the node serving the lineage
+	followers map[string]*followerTrack // standby node ID → ack track
 	conns     map[net.Conn]struct{}     // live stream conns, closed on Kill
-	clients   map[string]*client.Client // node ID → forwarding client
 	killed    bool
 
 	promotions atomic.Uint64
-	forwardOK  atomic.Uint64
-	forwardErr atomic.Uint64
 }
 
 // NewNode validates cfg and assembles a node. Call Start to go live.
@@ -181,40 +161,30 @@ func NewNode(cfg Config) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: self %q not in topology", cfg.Self)
 	}
-	isLeader := self.Role == RoleLeader || self.Role == ""
-	if isLeader && (cfg.Service == nil || cfg.Persister == nil) {
-		return nil, fmt.Errorf("cluster: leader node %s needs Service and Persister", cfg.Self)
-	}
-	if cfg.NewStore == nil || cfg.NewService == nil {
-		return nil, fmt.Errorf("cluster: NewStore and NewService are required (promotion path)")
-	}
-	if cfg.ReplicaRoot == "" {
-		return nil, fmt.Errorf("cluster: ReplicaRoot is required")
-	}
-	leaders := cfg.Topology.Leaders()
-	ids := make([]string, len(leaders))
-	for i, l := range leaders {
-		ids[i] = l.ID
-	}
+	leader, _ := cfg.Topology.Leader()
 	n := &Node{
 		cfg:       cfg,
 		self:      self,
-		ring:      newRing(ids, cfg.Topology.VNodes),
-		active:    map[string]*activeShard{},
-		runners:   map[string]*replicaRunner{},
-		overrides: map[string]string{},
+		leader:    leader,
+		owner:     leader.ID,
 		followers: map[string]*followerTrack{},
 		conns:     map[net.Conn]struct{}{},
-		clients:   map[string]*client.Client{},
 	}
-	if isLeader {
-		n.active[self.ID] = &activeShard{origin: self.ID, svc: cfg.Service, persist: cfg.Persister}
+	switch {
+	case self.isLeader():
+		if cfg.Handler == nil || cfg.Persister == nil {
+			return nil, fmt.Errorf("cluster: leader node %s needs Handler and Persister", cfg.Self)
+		}
+		n.persist = cfg.Persister
+		n.serving.Store(&cfg.Handler)
+	case cfg.Promote == nil || cfg.ReplicaRoot == "":
+		return nil, fmt.Errorf("cluster: standby node %s needs Promote and ReplicaRoot", cfg.Self)
 	}
 	return n, nil
 }
 
-// Start opens the replication listener, connects to every peer leader, and
-// begins shipping and replicating. ctx bounds the node's lifetime.
+// Start opens the replication listener and, on a standby, begins
+// replicating the leader. ctx bounds the node's lifetime.
 func (n *Node) Start(ctx context.Context) error {
 	n.ctx, n.cancel = context.WithCancel(ctx)
 	lst := n.cfg.Listener
@@ -226,21 +196,17 @@ func (n *Node) Start(ctx context.Context) error {
 		}
 	}
 	n.lst = lst
-	// One replica runner per peer leader; the replica directory recovers
-	// any state left by a previous process incarnation.
-	for _, l := range n.cfg.Topology.Leaders() {
-		if l.ID == n.self.ID {
-			continue
-		}
-		rep, err := traveltime.OpenReplica(traveltime.ReplicaDirFor(n.cfg.ReplicaRoot, l.ID))
+	if !n.self.isLeader() {
+		// The replica directory recovers any state left by a previous
+		// process incarnation.
+		rep, err := traveltime.OpenReplica(traveltime.ReplicaDirFor(n.cfg.ReplicaRoot, n.leader.ID))
 		if err != nil {
 			lst.Close()
-			return fmt.Errorf("cluster: open replica of %s: %w", l.ID, err)
+			return fmt.Errorf("cluster: open replica of %s: %w", n.leader.ID, err)
 		}
-		r := newReplicaRunner(n, l, rep)
-		n.runners[l.ID] = r
+		n.runner = newReplicaRunner(n, n.leader, rep)
 		n.wg.Add(1)
-		go func() { defer n.wg.Done(); r.run(n.ctx) }()
+		go func() { defer n.wg.Done(); n.runner.run(n.ctx) }()
 	}
 	n.registerMetrics()
 	n.wg.Add(1)
@@ -295,323 +261,143 @@ func (n *Node) untrackConn(c net.Conn) {
 	n.mu.Unlock()
 }
 
-// ownerOf resolves a route's current owner: ring owner, patched by any
-// failover override. origin is the lineage the route's history lives in.
-func (n *Node) ownerOf(routeID string) (owner, origin string) {
-	origin = n.ring.Owner(routeID)
-	owner = origin
-	n.mu.Lock()
-	if ov := n.overrides[origin]; ov != "" {
-		owner = ov
+// ServeHTTP serves the node's API. The leader, and a standby once
+// promoted, hand every request to their System's handler. A standby
+// before that answers /v1/healthz with its replication view and /metrics
+// with the cluster instruments; every other request gets 503 +
+// Retry-After with its body unread, so a client moves on to the next URL
+// it lists.
+func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := n.serving.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
 	}
-	n.mu.Unlock()
-	return owner, origin
+	w.Header().Set("Content-Type", "application/json")
+	switch {
+	case r.URL.Path == api.PathHealth:
+		_ = json.NewEncoder(w).Encode(api.HealthResponse{OK: true, Cluster: n.Status()})
+	case r.URL.Path == api.PathMetrics && n.cfg.Metrics != nil:
+		w.Header().Set("Content-Type", obs.ContentType)
+		_ = n.cfg.Metrics.WritePrometheus(w)
+	default:
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_ = json.NewEncoder(w).Encode(api.Error{Message: "cluster: " + n.self.ID + " is a standby; it serves nothing until promoted"})
+	}
 }
 
-// OwnerOf reports who currently owns routeID's reports (after any
-// failover overrides) and the lineage origin it hashes to on the static
-// ring. Tests and operators use it to see the partition.
-func (n *Node) OwnerOf(routeID string) (owner, origin string) {
-	return n.ownerOf(routeID)
-}
-
-// Dispatch ingests a report on the shard owning its route, forwarding to
-// the owner node when that is not this one. forwarded reports whether the
-// report left this node. It implements server.Router.
-func (n *Node) Dispatch(ctx context.Context, rep api.Report) (api.IngestResponse, bool, error) {
-	owner, origin := n.ownerOf(rep.RouteID)
-	if owner == n.self.ID {
-		n.mu.Lock()
-		sh := n.active[origin]
-		n.mu.Unlock()
-		if sh == nil {
-			// We are the designated survivor but the promotion has not
-			// completed yet (replica still replaying).
-			return api.IngestResponse{}, false, fmt.Errorf("%w: shard %s promoting on %s", api.ErrShardUnavailable, origin, n.self.ID)
-		}
-		resp, err := sh.svc.IngestCtx(ctx, rep)
-		return resp, false, err
-	}
-	// Validate before forwarding: a malformed report must answer 400 here,
-	// not burn a retry loop against the owner.
-	if err := rep.Validate(); err != nil {
-		return api.IngestResponse{}, false, err
-	}
-	cl, err := n.forwardClient(owner)
-	if err != nil {
-		n.forwardErr.Add(1)
-		return api.IngestResponse{}, true, fmt.Errorf("%w: %v", api.ErrShardUnavailable, err)
-	}
-	fctx, cancel := context.WithTimeout(ctx, n.cfg.ForwardTimeout)
-	defer cancel()
-	resp, err := cl.PostReport(fctx, rep)
-	if err != nil {
-		// A 4xx (other than 429, which the client already retried) is the
-		// owner REJECTING the report, not failing to serve it: the forward
-		// itself worked, and the verdict must surface unchanged — wrapping
-		// it in ErrShardUnavailable would turn a permanent 400 into a
-		// retryable 503 at the edge.
-		var se *client.StatusError
-		if errors.As(err, &se) && se.StatusCode >= 400 && se.StatusCode < 500 &&
-			se.StatusCode != http.StatusTooManyRequests {
-			n.forwardOK.Add(1)
-			msg := se.Message
-			if msg == "" {
-				msg = fmt.Sprintf("status %d", se.StatusCode)
-			}
-			return api.IngestResponse{}, true, fmt.Errorf("owner %s: %s", owner, msg)
-		}
-		n.forwardErr.Add(1)
-		return api.IngestResponse{}, true, fmt.Errorf("%w: forward to %s: %v", api.ErrShardUnavailable, owner, err)
-	}
-	n.forwardOK.Add(1)
-	return resp, true, nil
-}
-
-// forwardClient returns (building on first use) the API client for a node.
-func (n *Node) forwardClient(id string) (*client.Client, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if cl := n.clients[id]; cl != nil {
-		return cl, nil
-	}
-	spec, ok := n.cfg.Topology.Node(id)
-	if !ok || spec.Addr == "" {
-		return nil, fmt.Errorf("cluster: no API address for node %q", id)
-	}
-	cl, err := client.NewWithRetry(spec.Addr, nil, n.cfg.Retry)
-	if err != nil {
-		return nil, err
-	}
-	n.clients[id] = cl
-	return cl, nil
-}
-
-// noteLeaderLoss records a dead leader and re-routes its range to the
-// designated survivor. Every node calls this independently from its own
-// silence detector and computes the same survivor, so routing converges
-// without coordination. Returns true when this node is the survivor.
-func (n *Node) noteLeaderLoss(dead string) bool {
-	surv, ok := n.cfg.Topology.Survivor(dead)
-	if !ok {
-		return false
-	}
-	n.mu.Lock()
-	already := n.overrides[dead] != ""
-	n.overrides[dead] = surv
-	n.mu.Unlock()
-	if !already {
-		n.logf("cluster %s: leader %s lost, range re-routed to %s", n.self.ID, dead, surv)
-	}
-	return surv == n.self.ID
-}
-
-// promote turns the local replica of dead's lineage into a served shard:
-// recover the replica directory through the standard persister recovery
-// (torn shipped tails are truncated there), build a fresh service over the
-// recovered store, and take ownership of the range.
-func (n *Node) promote(dead string, rep *traveltime.Replica) error {
+// promote turns this standby into the one service: close the replica,
+// let Promote open a System over its directory through the standard
+// recovery path, and serve that System from now on.
+func (n *Node) promote(rep *traveltime.Replica) error {
 	dir := rep.Dir()
 	if err := rep.Close(); err != nil {
-		return fmt.Errorf("cluster: close replica of %s: %w", dead, err)
+		return fmt.Errorf("cluster: close replica of %s: %w", n.leader.ID, err)
 	}
-	store := n.cfg.NewStore()
-	persist, err := traveltime.OpenPersister(dir, store, n.cfg.Persist)
+	h, p, err := n.cfg.Promote(dir)
 	if err != nil {
-		return fmt.Errorf("cluster: recover replica of %s: %w", dead, err)
-	}
-	svc, err := n.cfg.NewService(store, persist.Record, persist.Stats)
-	if err != nil {
-		_ = persist.Close() // nothing was recorded through it yet
-		return fmt.Errorf("cluster: build promoted service for %s: %w", dead, err)
+		return fmt.Errorf("cluster: open replica of %s: %w", n.leader.ID, err)
 	}
 	n.mu.Lock()
-	n.active[dead] = &activeShard{origin: dead, svc: svc, persist: persist, promoted: true}
+	n.persist, n.promoted = p, true
 	n.mu.Unlock()
+	n.serving.Store(&h)
 	n.promotions.Add(1)
-	st := persist.Stats()
-	n.logf("cluster %s: promoted shard %s (replayed %d records, truncated %d torn bytes)",
-		n.self.ID, dead, st.WALReplayed, st.WALSkippedBytes)
+	st := p.Stats()
+	n.logf("cluster %s: promoted the replica of %s (replayed %d records, truncated %d torn bytes)",
+		n.self.ID, n.leader.ID, st.WALReplayed, st.WALSkippedBytes)
 	return nil
 }
 
-// Shard returns the service and persister serving origin's lineage on this
-// node, if any. Tests use it to inspect promoted state.
-func (n *Node) Shard(origin string) (*server.Service, *traveltime.Persister, bool) {
+// lag is the replication lag of the leader's lineage in bytes, from this
+// node's point of view: on the leader, the durable frontier minus the
+// slowest standby's ack (the whole frontier before any standby acked); on
+// a standby, the leader's advertised frontier minus the local replica; 0
+// once promoted, since a promoted node ships to nobody.
+func (n *Node) lag() int64 {
+	// Read the acked offsets while holding the lock: the ack-reader
+	// goroutines mutate followerTrack under n.mu.
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	sh := n.active[origin]
-	if sh == nil {
-		return nil, nil, false
-	}
-	return sh.svc, sh.persist, true
-}
-
-// lagFor is the replication lag of origin's lineage in bytes, from this
-// node's point of view (leader: durable − slowest ack; follower: leader's
-// durable − local replica length; promoted/unknown: 0).
-func (n *Node) lagFor(origin string) int64 {
-	// Snapshot the acked offsets while holding the lock: the ack-reader
-	// goroutines mutate followerTrack under n.mu, so the track pointers
-	// must not be dereferenced after the unlock.
-	n.mu.Lock()
-	sh := n.active[origin]
-	leading := sh != nil && !sh.promoted
-	var acks []int64
-	if leading {
-		for _, tr := range n.followers {
-			acks = append(acks, tr.acked)
+	p, promoted := n.persist, n.promoted
+	var minAcked int64
+	first := true
+	for _, tr := range n.followers {
+		if first || tr.acked < minAcked {
+			minAcked, first = tr.acked, false
 		}
 	}
-	runner := n.runners[origin]
 	n.mu.Unlock()
+	var lag int64
 	switch {
-	case leading:
-		_, durable := sh.persist.ShipState()
-		var minAcked int64 // no follower yet → nothing replicated → full lag
-		for i, a := range acks {
-			if i == 0 || a < minAcked {
-				minAcked = a
-			}
-		}
-		if lag := durable - minAcked; lag > 0 {
-			return lag
-		}
+	case promoted:
 		return 0
-	case runner != nil:
-		if lag := runner.leaderDurable.Load() - runner.localLen.Load(); lag > 0 {
-			return lag
-		}
-		return 0
+	case p != nil:
+		_, durable := p.ShipState()
+		lag = durable - minAcked
 	default:
-		return 0
+		lag = n.runner.leaderDurable.Load() - n.runner.localLen.Load()
 	}
+	return max(lag, 0)
 }
 
-// Status reports this node's cluster view for /v1/healthz.
+// Status reports this node's cluster view for /v1/healthz: its one
+// lineage, the leader's.
 func (n *Node) Status() *api.ClusterStatus {
-	role := string(n.self.Role)
-	if role == "" {
-		role = string(RoleLeader)
+	role := RoleFollower
+	if n.self.isLeader() {
+		role = RoleLeader
 	}
-	st := &api.ClusterStatus{NodeID: n.self.ID, Role: role}
 	n.mu.Lock()
-	actives := make([]*activeShard, 0, len(n.active))
-	for _, sh := range n.active {
-		actives = append(actives, sh)
-	}
-	runners := make(map[string]*replicaRunner, len(n.runners))
-	for id, r := range n.runners {
-		runners[id] = r
-	}
-	overrides := make(map[string]string, len(n.overrides))
-	for k, v := range n.overrides {
-		overrides[k] = v
-	}
+	p, promoted, owner := n.persist, n.promoted, n.owner
 	n.mu.Unlock()
-	for _, sh := range actives {
-		gen, durable := sh.persist.ShipState()
-		st.Shards = append(st.Shards, api.ShardStatus{
-			Owner:               n.self.ID,
-			Origin:              sh.origin,
-			Local:               true,
-			Promoted:            sh.promoted,
-			ReplicationLagBytes: n.lagFor(sh.origin),
-			WALDurableBytes:     durable,
-			Generation:          gen,
-		})
+	sh := api.ShardStatus{
+		Owner:               owner,
+		Origin:              n.leader.ID,
+		Local:               p != nil,
+		Promoted:            promoted,
+		ReplicationLagBytes: n.lag(),
 	}
-	for id, r := range runners {
-		if _, _, served := n.Shard(id); served {
-			continue // promoted: already reported as local
-		}
-		owner := id
-		if ov := overrides[id]; ov != "" {
-			owner = ov
-		}
-		st.Shards = append(st.Shards, api.ShardStatus{
-			Owner:               owner,
-			Origin:              id,
-			ReplicationLagBytes: n.lagFor(id),
-			WALDurableBytes:     r.localLen.Load(),
-			Generation:          r.gen.Load(),
-		})
+	if p != nil {
+		sh.Generation, sh.WALDurableBytes = p.ShipState()
+	} else {
+		sh.Generation, sh.WALDurableBytes = n.runner.gen.Load(), n.runner.localLen.Load()
 	}
-	sortShardStatuses(st.Shards)
-	return st
+	return &api.ClusterStatus{NodeID: n.self.ID, Role: string(role), Shards: []api.ShardStatus{sh}}
 }
 
-func sortShardStatuses(s []api.ShardStatus) {
-	for i := 1; i < len(s); i++ { // insertion sort; shard counts are tiny
-		for j := i; j > 0 && s[j].Origin < s[j-1].Origin; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// registerMetrics publishes the cluster instruments: per-lineage lag and
-// leadership gauges (one series per topology leader, registered up front
-// so promotion never races a registry write), promotion and forward
-// counters.
+// registerMetrics publishes the cluster instruments: the lineage's lag and
+// leadership gauges (labelled with the leader's ID) and the promotion
+// counter.
 func (n *Node) registerMetrics() {
 	reg := n.cfg.Metrics
 	if reg == nil {
 		return
 	}
-	for _, l := range n.cfg.Topology.Leaders() {
-		origin := l.ID
-		reg.GaugeFunc("wilocator_cluster_replication_lag_bytes",
-			"Replication lag of one geo-shard's WAL in bytes, as seen from this node (leader: durable minus slowest follower ack; follower: leader durable minus local replica).",
-			func() float64 { return float64(n.lagFor(origin)) },
-			obs.L("shard", origin))
-		reg.GaugeFunc("wilocator_cluster_is_leader",
-			"1 when this node serves the shard (originally or by promotion), 0 when it only replicates it.",
-			func() float64 {
-				if _, _, ok := n.Shard(origin); ok {
-					return 1
-				}
-				return 0
-			},
-			obs.L("shard", origin))
-	}
+	origin := obs.L("shard", n.leader.ID)
+	reg.GaugeFunc("wilocator_cluster_replication_lag_bytes",
+		"Replication lag of the leader's WAL in bytes, as seen from this node (leader: durable minus slowest standby ack; standby: leader durable minus local replica; 0 once promoted).",
+		func() float64 { return float64(n.lag()) }, origin)
+	reg.GaugeFunc("wilocator_cluster_is_leader",
+		"1 when this node serves the lineage (as the leader or by promotion), 0 when it only replicates it.",
+		func() float64 {
+			if n.serving.Load() != nil {
+				return 1
+			}
+			return 0
+		}, origin)
 	reg.CounterFunc("wilocator_cluster_promotions_total",
 		"Replica promotions this node performed after a leader loss.",
 		n.promotions.Load)
-	reg.CounterFunc("wilocator_cluster_forwarded_reports_total",
-		"Reports forwarded to their owning node.",
-		n.forwardOK.Load, obs.L("result", "ok"))
-	reg.CounterFunc("wilocator_cluster_forwarded_reports_total",
-		"Reports forwarded to their owning node.",
-		n.forwardErr.Load, obs.L("result", "error"))
 }
 
-// Kill severs the node abruptly — cancel everything, close the listener
-// and every live stream — without flushing or closing its persisters,
-// modelling a process death as the peers observe it. Test hook.
-func (n *Node) Kill() {
-	n.mu.Lock()
-	n.killed = true
-	conns := make([]net.Conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	n.cancel()
-	n.lst.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	n.wg.Wait()
-}
-
-// Close shuts the node down gracefully: stop shipping and replicating,
-// then close every replica and promoted persister. The node's own
-// Persister is caller-owned and left open.
-func (n *Node) Close() error {
+// sever stops the node abruptly: cancel everything, close the listener and
+// every live stream, and wait for the node's goroutines. It reports false
+// when the node was already stopped.
+func (n *Node) sever() (bool, error) {
 	n.mu.Lock()
 	if n.killed {
 		n.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	n.killed = true
 	conns := make([]net.Conn, 0, len(n.conns))
@@ -625,26 +411,20 @@ func (n *Node) Close() error {
 		c.Close()
 	}
 	n.wg.Wait()
-	var errs []error
-	if err != nil {
-		errs = append(errs, err)
+	return true, err
+}
+
+// Kill severs the node without flushing or closing anything, modelling a
+// process death as the peers observe it. Test hook.
+func (n *Node) Kill() { n.sever() }
+
+// Close shuts the node down gracefully: stop shipping and replicating,
+// then close the replica. The served System, the leader's own or the
+// promoted one, is caller-owned and left open.
+func (n *Node) Close() error {
+	stopped, err := n.sever()
+	if !stopped || n.runner == nil {
+		return err
 	}
-	for id, r := range n.runners {
-		if _, _, served := n.Shard(id); served {
-			continue // promoted: replica file handle moved to the persister
-		}
-		if cerr := r.rep.Close(); cerr != nil {
-			errs = append(errs, cerr)
-		}
-	}
-	n.mu.Lock()
-	for _, sh := range n.active {
-		if sh.promoted {
-			if cerr := sh.persist.Close(); cerr != nil {
-				errs = append(errs, cerr)
-			}
-		}
-	}
-	n.mu.Unlock()
-	return errors.Join(errs...)
+	return errors.Join(err, n.runner.rep.Close())
 }

@@ -1,9 +1,9 @@
 // Package clusterctx checks that cluster RPC paths propagate
 // deadline-carrying contexts.
 //
-// Every blocking operation in internal/cluster — dialing a leader,
-// forwarding a report, writing a replication frame — must inherit the
-// caller's context so that node shutdown, request deadlines and failover
+// Every blocking operation in internal/cluster — dialing the leader,
+// writing a replication frame, waiting out a reconnect backoff — must
+// inherit the caller's context so that node shutdown and failover
 // timeouts actually cancel in-flight work. A context.Background() (or
 // context.TODO()) minted inside the package severs that chain: the
 // operation outlives its caller, a dead peer can pin a goroutine forever,
@@ -13,8 +13,8 @@
 // package whose import path ends in "cluster". Non-test files only: a test
 // is its own root and may legitimately mint one (though t.Context() is
 // usually better there too). The fix is always the same — thread the
-// context from Start, Dispatch or the connection handler, deriving
-// deadlines with context.WithTimeout where a bound is needed.
+// context from Start or the connection handler, deriving deadlines with
+// context.WithTimeout where a bound is needed.
 package clusterctx
 
 import (
@@ -54,7 +54,7 @@ func run(pass *lint.Pass) error {
 				return true
 			}
 			if fn.Name() == "Background" || fn.Name() == "TODO" {
-				pass.Reportf(call.Pos(), "context.%s() in a cluster package severs cancellation: RPC and replication paths must propagate the caller's deadline-carrying context (thread it from Start/Dispatch, derive bounds with context.WithTimeout)", fn.Name())
+				pass.Reportf(call.Pos(), "context.%s() in a cluster package severs cancellation: RPC and replication paths must propagate the caller's deadline-carrying context (thread it from Start or the connection handler, derive bounds with context.WithTimeout)", fn.Name())
 			}
 			return true
 		})

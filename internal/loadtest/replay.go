@@ -74,9 +74,8 @@ func ReplayRange(svc *server.Service, streams []BusStream, skip, limit int) Tall
 
 // ReplayVia is ReplayRange with a pluggable delivery function: the same
 // global round-robin order, but each report handed to deliver instead of a
-// single service — so a clustered dispatch (which shards and forwards) and
-// per-shard reference services can be fed byte-identical subsequences and
-// their tallies compared.
+// single service — so a cluster reached over HTTP and a reference service
+// can be fed byte-identical subsequences and their tallies compared.
 func ReplayVia(streams []BusStream, skip, limit int, deliver func(api.Report) (api.IngestResponse, error)) Tally {
 	var tally Tally
 	pos := 0

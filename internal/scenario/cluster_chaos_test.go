@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"wilocator/internal/api"
+	"wilocator/internal/client"
 	"wilocator/internal/cluster"
 	"wilocator/internal/loadtest"
 	"wilocator/internal/server"
@@ -14,12 +17,11 @@ import (
 )
 
 // TestChaosClusterStandbyPromotion runs the cluster's warm-standby path
-// over a scenario-compiled world: one leader owning every route, one
-// RoleFollower node that serves nothing and only replicates. Kill the
-// leader mid-fleet; the standby must promote the shipped replica through
-// the standard recovery path and finish the fleet with a store identical
-// to an uninterrupted run's crash-resume. This is the pure-follower
-// complement to the 2-leader equivalence test in internal/cluster.
+// over a scenario-compiled world: one leader serving every route, one
+// standby that serves nothing and only replicates. Kill the leader
+// mid-fleet; the standby must promote the shipped replica through the
+// standard recovery path and finish the fleet, over its own HTTP API,
+// with a store identical to an uninterrupted run's crash-resume.
 func TestChaosClusterStandbyPromotion(t *testing.T) {
 	w, streams, err := ChaosWorld(MustByName("grid-burst"))
 	if err != nil {
@@ -69,20 +71,21 @@ func TestChaosClusterStandbyPromotion(t *testing.T) {
 	}
 	defer func() { _ = ps.Persist.Close() }() // the kill below abandons this persister
 
-	newStore := func() *traveltime.Store { return traveltime.NewStore(traveltime.PaperPlan()) }
-	var promoted *traveltime.Store
-	newService := func(store *traveltime.Store, sink func(traveltime.Record) error, stats func() traveltime.PersistStats) (*server.Service, error) {
-		promoted = store
-		return server.NewService(w.Dia, store, server.Config{Now: now, Sink: sink, PersistStats: stats})
+	promotedCh := make(chan *loadtest.PersistentService, 1)
+	promote := func(dir string) (http.Handler, *traveltime.Persister, error) {
+		ps, err := loadtest.NewPersistentService(w, dir, server.Config{Now: now}, traveltime.PersistConfig{SyncEvery: 1})
+		if err != nil {
+			return nil, nil, err
+		}
+		promotedCh <- ps
+		return server.NewHandler(ps.Svc, server.HandlerConfig{GroupCommit: ps.Persist}), ps.Persist, nil
 	}
 	mkNode := func(self string, svcCfg func(*cluster.Config), lst net.Listener) *cluster.Node {
 		cfg := cluster.Config{
 			Self:           self,
 			Topology:       topo,
 			ReplicaRoot:    filepath.Join(base, self+"-replicas"),
-			NewStore:       newStore,
-			NewService:     newService,
-			Persist:        traveltime.PersistConfig{SyncEvery: 1},
+			Promote:        promote,
 			HeartbeatEvery: 50 * time.Millisecond,
 			FailoverAfter:  2 * time.Second,
 			Logf:           t.Logf,
@@ -99,7 +102,7 @@ func TestChaosClusterStandbyPromotion(t *testing.T) {
 		return node
 	}
 	leader := mkNode("leader", func(c *cluster.Config) {
-		c.Service = ps.Svc
+		c.Handler = server.NewHandler(ps.Svc, server.HandlerConfig{GroupCommit: ps.Persist})
 		c.Persister = ps.Persist
 		c.Wake = wake
 	}, lstL)
@@ -107,11 +110,7 @@ func TestChaosClusterStandbyPromotion(t *testing.T) {
 	standby := mkNode("standby", func(c *cluster.Config) {}, lstF)
 	defer standby.Close()
 
-	ctx := t.Context()
-	liveTally := loadtest.ReplayVia(streams, 0, crashAt, func(rep api.Report) (api.IngestResponse, error) {
-		resp, _, err := leader.Dispatch(ctx, rep)
-		return resp, err
-	})
+	liveTally := loadtest.ReplayRange(ps.Svc, streams, 0, crashAt)
 	if liveTally != refTally {
 		t.Fatalf("clustered tallies diverged before the kill: %v vs %v", liveTally, refTally)
 	}
@@ -139,29 +138,37 @@ func TestChaosClusterStandbyPromotion(t *testing.T) {
 	waitShard("standby promotion", func(sh api.ShardStatus) bool {
 		return sh.Local && sh.Promoted
 	}, standby)
-	if promoted == nil {
-		t.Fatal("promotion did not build a store")
-	}
-	if err := traveltime.Diff(refStore, promoted, 1e-9); err != nil {
+	promoted := <-promotedCh
+	defer func() {
+		_ = promoted.Svc.Close()
+		_ = promoted.Persist.Close()
+	}()
+	if err := traveltime.Diff(refStore, promoted.Store, 1e-9); err != nil {
 		t.Fatalf("promoted store diverges from the unkilled run at the kill point: %v", err)
 	}
 
 	// Crash-resume on both sides: the reference restarts its service over
-	// the surviving store, the cluster routes the rest of the fleet into
-	// the promoted standby.
+	// the surviving store, the rest of the fleet goes to the promoted
+	// standby through its HTTP handler.
 	resumed, err := server.NewService(w.Dia, refStore, server.Config{Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refTail := loadtest.ReplayRange(resumed, streams, crashAt, -1)
+	ts := httptest.NewServer(standby)
+	defer ts.Close()
+	c, err := client.NewWithRetry(ts.URL, nil, client.NoRetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := t.Context()
 	liveTail := loadtest.ReplayVia(streams, crashAt, -1, func(rep api.Report) (api.IngestResponse, error) {
-		resp, _, err := standby.Dispatch(ctx, rep)
-		return resp, err
+		return c.PostReport(ctx, rep)
 	})
 	if liveTail != refTail {
 		t.Fatalf("post-promotion tallies diverged: %v vs %v", liveTail, refTail)
 	}
-	if err := traveltime.Diff(refStore, promoted, 1e-9); err != nil {
+	if err := traveltime.Diff(refStore, promoted.Store, 1e-9); err != nil {
 		t.Fatalf("promoted shard diverged from reference after resume: %v", err)
 	}
 }

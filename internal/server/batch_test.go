@@ -439,87 +439,6 @@ func TestBatchDuringRebuild(t *testing.T) {
 	}
 }
 
-// blockingRouter is a Router whose forward of bus "remote" parks until
-// release is closed (a slow or partitioned peer); every other bus is served
-// locally.
-type blockingRouter struct {
-	svc     *Service
-	entered chan struct{} // closed when the remote forward starts
-	release chan struct{}
-	once    sync.Once
-}
-
-func (r *blockingRouter) Dispatch(ctx context.Context, rep api.Report) (api.IngestResponse, bool, error) {
-	if rep.BusID == "remote" {
-		r.once.Do(func() { close(r.entered) })
-		<-r.release
-		return api.IngestResponse{Accepted: true}, true, nil
-	}
-	resp, err := r.svc.IngestCtx(ctx, rep)
-	return resp, false, err
-}
-
-// TestForwardDoesNotBlockOtherBuses: a report forwarded to a slow cluster
-// peer holds up only the request that carries it. A second batch of local
-// buses — on a one-shard service, so every bus hashes alike — must be
-// answered while the forward is still parked.
-func TestForwardDoesNotBlockOtherBuses(t *testing.T) {
-	w := newWorld(t, 66)
-	svc, err := NewService(w.dia, w.store, Config{Now: w.now, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := &blockingRouter{svc: svc, entered: make(chan struct{}), release: make(chan struct{})}
-	h := NewHandler(svc, HandlerConfig{Router: rt})
-	defer close(rt.release)
-
-	remote := batchLine(t, api.Report{BusID: "remote", RouteID: w.route.ID(), PhoneID: "p0",
-		Scan: wifi.Scan{Time: t0}})
-	parked := make(chan int, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", api.PathReportsBatch, bytes.NewReader(remote)))
-		parked <- rec.Code
-	}()
-	select {
-	case <-rt.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the remote forward never started")
-	}
-
-	var local []byte
-	for i := 0; i < 4; i++ {
-		local = append(local, batchLine(t, api.Report{BusID: fmt.Sprintf("local-%d", i), RouteID: w.route.ID(),
-			PhoneID: fmt.Sprintf("p%d", i), Scan: wifi.Scan{Time: t0}})...)
-	}
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", api.PathReportsBatch, bytes.NewReader(local)))
-		done <- rec
-	}()
-	select {
-	case rec := <-done:
-		if rec.Code != http.StatusOK {
-			t.Fatalf("local batch: got %d, want 200", rec.Code)
-		}
-		var out api.BatchResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Accepted != 4 {
-			t.Errorf("local batch accepted %d of 4: %+v", out.Accepted, out)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("a batch of local buses waited on another request's forward")
-	}
-	select {
-	case code := <-parked:
-		t.Fatalf("the remote batch finished (%d) before its forward was released", code)
-	default:
-	}
-}
-
 // TestDrainMeterScales pins the Retry-After model: no observations → the
 // configured floor; then the hint tracks depth / measured drain rate,
 // clamped to [floor, 60s].

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,12 +30,6 @@ type HandlerConfig struct {
 	// RetryAfter is the Retry-After hint attached to shed responses,
 	// rounded up to whole seconds. Default 1s.
 	RetryAfter time.Duration
-	// Router, when set, replaces direct ingestion on both report doors:
-	// each report goes to the router, which serves it on the local
-	// geo-shard or forwards it to the owning cluster node. A router failure wrapping
-	// api.ErrShardUnavailable answers 503 + Retry-After (the owner is
-	// mid-failover or partitioned); other errors stay 400.
-	Router Router
 	// BatchMaxReports caps the NDJSON line count of one POST
 	// /v1/reports/batch; larger batches are answered 413 and must be
 	// split. Default 4096.
@@ -52,15 +45,6 @@ type HandlerConfig struct {
 	// *traveltime.Persister here; leave nil when running without
 	// persistence.
 	GroupCommit GroupCommit
-}
-
-// Router dispatches a report to the shard owning its route — locally or on
-// another cluster node. forwarded reports whether the report left this
-// node (for metrics/logging; the response is the owner's either way).
-// cluster.Node implements it; the interface lives here so the server does
-// not import the cluster package.
-type Router interface {
-	Dispatch(ctx context.Context, rep api.Report) (resp api.IngestResponse, forwarded bool, err error)
 }
 
 func (c HandlerConfig) withDefaults() HandlerConfig {

@@ -145,15 +145,14 @@ var errLinePanic = errors.New("server: internal error ingesting report")
 // and POST /v1/reports/batch. A request is admitted against one bound on
 // requests in flight, its body is decoded into a pooled slab, and its
 // lines are dispatched in line order by the submitting goroutine — which
-// keeps each bus's reports in order without any queue, and lets a slow
-// cluster forward hold up only the request that carries it.
+// keeps each bus's reports in order without any queue.
 type ingester struct {
 	svc        *Service
 	hc         HandlerConfig
 	sem        chan struct{}
 	meter      *drainMeter
 	calls      sync.Pool
-	retryAfter string // the fixed hint on 503s
+	retryAfter string // the fixed hint on a batch's failed-fsync 503
 }
 
 func newIngester(s *Service, hc HandlerConfig, retryAfter string) *ingester {
@@ -228,9 +227,6 @@ func (e *ingester) serveReport(w http.ResponseWriter, r *http.Request, call *ing
 	switch {
 	case ln.err == nil:
 		writeJSON(w, http.StatusOK, ln.resp)
-	case errors.Is(ln.err, api.ErrShardUnavailable):
-		w.Header().Set("Retry-After", e.retryAfter)
-		writeErr(w, http.StatusServiceUnavailable, ln.err.Error())
 	case errors.Is(ln.err, errLinePanic):
 		writeErr(w, http.StatusInternalServerError, "internal error")
 	default:
@@ -338,8 +334,7 @@ func (e *ingester) dispatch(ctx context.Context, call *ingestCall) {
 	}
 }
 
-// dispatchLine is the one place a report reaches the cluster router or the
-// service. A panic becomes the line's verdict, counted with the handler
+// dispatchLine is the one place a report reaches the service. A panic becomes the line's verdict, counted with the handler
 // panics, so the rest of the request still gets answered.
 //
 //wilint:hotpath
@@ -351,11 +346,7 @@ func (e *ingester) dispatchLine(ctx context.Context, ln *ingestLine) {
 		}
 		e.svc.http.linesDispatched.Add(1)
 	}()
-	if e.hc.Router != nil {
-		ln.resp, _, ln.err = e.hc.Router.Dispatch(ctx, ln.rep)
-	} else {
-		ln.resp, ln.err = e.svc.IngestCtx(ctx, ln.rep)
-	}
+	ln.resp, ln.err = e.svc.IngestCtx(ctx, ln.rep)
 }
 
 // countNDJSONLines counts the newline-separated lines of data, a torn

@@ -218,9 +218,6 @@ type System struct {
 	store   *traveltime.Store
 	svc     *server.Service
 	persist *traveltime.Persister // nil without Config.PersistDir
-	// serverCfg is the resolved server configuration, kept so cluster
-	// promotion can build sibling services over the same diagram.
-	serverCfg server.Config
 }
 
 // New assembles a system over a road network and AP deployment.
@@ -229,6 +226,16 @@ func New(net *Network, dep *Deployment, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Open(dia, cfg)
+}
+
+// Open assembles a system over an already built diagram (cfg.Diagram is
+// ignored), recovering cfg.PersistDir as New does. A cluster standby
+// builds its diagram at startup and opens its System only when it is
+// promoted, over the replica directory, so a failover never waits for a
+// diagram build.
+func Open(dia *Diagram, cfg Config) (*System, error) {
+	var err error
 	store := traveltime.NewStore(traveltime.PaperPlan())
 	if !cfg.DisableObservability {
 		if cfg.Server.Metrics == nil {
@@ -256,7 +263,7 @@ func New(net *Network, dep *Deployment, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{store: store, svc: svc, persist: persist, serverCfg: cfg.Server}, nil
+	return &System{store: store, svc: svc, persist: persist}, nil
 }
 
 // Diagram returns the system's current Signal Voronoi Diagram (the latest
@@ -345,35 +352,13 @@ func (s *System) Handler() http.Handler { return server.Handler(s.svc) }
 // HandlerWith is Handler with explicit hardening limits.
 func (s *System) HandlerWith(hc HandlerConfig) http.Handler { return server.NewHandler(s.svc, hc) }
 
-// Service exposes the underlying serving stack. Cluster wiring needs it:
-// a cluster node ingests its own geo-shard through the service and hooks
-// its status into the service's health body.
+// Service exposes the underlying serving stack. A cluster node hooks its
+// status into the service's health body through it.
 func (s *System) Service() *server.Service { return s.svc }
 
 // Persister exposes the travel-time persister (nil without
-// Config.PersistDir). A cluster node ships its WAL lineage from it.
+// Config.PersistDir). A cluster leader ships its WAL lineage from it.
 func (s *System) Persister() *traveltime.Persister { return s.persist }
-
-// NewTravelTimeStore returns an empty store on the same slot plan the
-// system's own store uses — the blank a promoted replica recovers into.
-func (s *System) NewTravelTimeStore() *traveltime.Store {
-	return traveltime.NewStore(traveltime.PaperPlan())
-}
-
-// NewShardService builds a second serving stack over the same Signal
-// Voronoi Diagram for another geo-shard's store — the cluster promotion
-// path. sink and stats come from the promoted shard's persister. The
-// sibling shares no mutable state with the primary service; metrics and
-// tracing stay with the primary (one registry holds one service's
-// instruments).
-func (s *System) NewShardService(store *traveltime.Store, sink func(traveltime.Record) error, stats func() traveltime.PersistStats) (*server.Service, error) {
-	cfg := s.serverCfg
-	cfg.Metrics = nil
-	cfg.Tracer = nil
-	cfg.Sink = sink
-	cfg.PersistStats = stats
-	return server.NewService(s.svc.Diagram(), store, cfg)
-}
 
 // SnapshotTravelTimes rolls a new persistence generation (atomic snapshot
 // + fresh WAL). It errors unless the system was built with
