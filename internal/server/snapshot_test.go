@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -264,29 +265,54 @@ func TestHTTPReadCaching(t *testing.T) {
 	}
 }
 
-// TestVehiclesGETServesPrerenderedBytes pins that the handler byte-for-byte
-// serves the snapshot's pre-rendered body (the same bytes writeJSON would
-// produce for the equivalent recompute), including the nil-slice "null"
-// convention for unknown routes.
-func TestVehiclesGETServesPrerenderedBytes(t *testing.T) {
+// TestGETBodiesMatchRecompute pins the served bytes of every cacheable read:
+// each 200 body of the vehicles, arrivals and traffic-map endpoints is
+// byte-equal to marshalBody of the call-time reference computation, an
+// unknown route's vehicles answer the nil-slice "null", and an arrival
+// prediction error stays a 400 carrying the reference's message.
+func TestGETBodiesMatchRecompute(t *testing.T) {
 	w := newWorld(t, 53)
-	w.runBusHalf(t, "bus-1", t0, 3, 540)
+	w.runBus(t, "bus-done", t0, 3, 540)
+	w.runBusHalf(t, "bus-live", w.now().Add(time.Minute), 3, 545)
 	h := Handler(w.svc)
 
-	get := func(target string) (*httptest.ResponseRecorder, []byte) {
+	get := func(target string) (int, []byte) {
+		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-		return rec, rec.Body.Bytes()
+		return rec.Code, rec.Body.Bytes()
+	}
+	check := func(target string, wantCode int, want []byte) {
+		t.Helper()
+		code, got := get(target)
+		if code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("GET %s: status %d body\n%s\nwant %d\n%s", target, code, got, wantCode, want)
+		}
 	}
 
-	_, got := get(api.PathVehicles + "?route=" + w.route.ID())
-	want := marshalBody(w.svc.RecomputeVehicles(w.route.ID()))
-	if !bytes.Equal(got, want) {
-		t.Errorf("GET vehicles body:\n%s\nrecompute render:\n%s", got, want)
+	routes := []string{""}
+	for _, rt := range w.net.Routes() {
+		routes = append(routes, rt.ID())
 	}
-
-	rec, got := get(api.PathVehicles + "?route=ghost")
-	if rec.Code != http.StatusOK || !bytes.Equal(got, nullBody) {
-		t.Errorf("unknown route: status %d body %q, want 200 %q", rec.Code, got, nullBody)
+	for _, routeID := range append(routes, "ghost") {
+		check(api.PathVehicles+"?route="+routeID, http.StatusOK, marshalBody(w.svc.RecomputeVehicles(routeID)))
+	}
+	for _, rt := range w.net.Routes() {
+		for stop := 0; stop < rt.NumStops(); stop++ {
+			target := fmt.Sprintf("%s?route=%s&stop=%d", api.PathArrivals, rt.ID(), stop)
+			ests, err := w.svc.RecomputeArrivals(rt.ID(), stop)
+			if err != nil {
+				check(target, http.StatusBadRequest, marshalBody(api.Error{Message: err.Error()}))
+				continue
+			}
+			check(target, http.StatusOK, marshalBody(ests))
+		}
+	}
+	for _, routeID := range routes {
+		ref, err := w.svc.RecomputeTrafficMap(routeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(api.PathTrafficMap+"?route="+routeID, http.StatusOK, marshalBody(ref))
 	}
 }
