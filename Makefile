@@ -114,8 +114,9 @@ fuzz-smoke:
 # then the ingest-throughput benchmarks (single-POST HTTP, NDJSON batch,
 # handler-only, decode-only) to BENCH_ingest.json, then the read-path
 # benchmarks (snapshot-served GET vs cold recompute for vehicles and
-# arrivals, and one whole epoch publish over 10/40/120 live buses with its
-# per-publish SegmentTime count under "extra") to BENCH_read.json.
+# arrivals, and one whole epoch publish over 10/40/120 live buses, plus the
+# 40-bus publish followed by the render a first rider poll pays, each with
+# its per-publish SegmentTime count under "extra") to BENCH_read.json.
 bench:
 	$(GO) test -run='^$$' -bench='SVD' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out BENCH_svd.json
 	@cat BENCH_svd.json
@@ -139,7 +140,8 @@ bench-smoke:
 # NDJSON ingest at least 10x the per-report cost of single-POST HTTP.
 # The read benchmarks must hold the snapshot claim: a cached GET at least
 # 10x cheaper than the cold recompute of the same response, for both
-# vehicles and arrivals (vs BENCH_read.json).
+# vehicles and arrivals, and every BenchmarkPublish case must hold its
+# allocs/op (vs BENCH_read.json).
 # Refresh a baseline deliberately with `make bench` when a regression is
 # intended.
 bench-check:
@@ -152,10 +154,10 @@ bench-check:
 		| $(GO) run ./cmd/benchcheck -baseline BENCH_ingest.json \
 			-require 'BenchmarkIngestHandler,BenchmarkBatchDecode' \
 			-speedup 'BenchmarkBatchIngest:BenchmarkIngestHTTP:10'
-	$(GO) test -run='^$$' -bench='BenchmarkVehicles|BenchmarkArrivals' -benchmem -count=3 ./internal/server \
+	$(GO) test -run='^$$' -bench='BenchmarkVehicles|BenchmarkArrivals|BenchmarkPublish' -benchmem -count=3 ./internal/server \
 		| $(GO) run ./cmd/benchjson \
 		| $(GO) run ./cmd/benchcheck -baseline BENCH_read.json \
-			-require 'BenchmarkVehiclesGET,BenchmarkVehiclesRecompute,BenchmarkArrivalsGET,BenchmarkArrivalsRecompute' \
+			-require 'BenchmarkVehiclesGET,BenchmarkVehiclesRecompute,BenchmarkArrivalsGET,BenchmarkArrivalsRecompute,BenchmarkPublish/buses=10,BenchmarkPublish/buses=40,BenchmarkPublish/buses=120,BenchmarkPublish/buses=40/read' \
 			-speedup 'BenchmarkVehiclesGET:BenchmarkVehiclesRecompute:10,BenchmarkArrivalsGET:BenchmarkArrivalsRecompute:10'
 
 bench-all:

@@ -237,7 +237,7 @@ func (b *broadcaster) headSnapshotFrame(route string) []byte {
 		Epoch:       snap.epoch,
 		RouteID:     route,
 		GeneratedAt: snap.generatedAt,
-		Vehicles:    snap.vehicles[route],
+		Vehicles:    snap.vehiclesOf(route),
 		Strip:       snap.tmaps[route].resp.Strip,
 	})
 }
@@ -332,8 +332,8 @@ func (b *broadcaster) close() {
 func computeDelta(prev, cur *readSnapshot, route string) api.StreamDelta {
 	delta := api.StreamDelta{Epoch: cur.epoch, RouteID: route}
 
-	prevVs := prev.vehicles[route]
-	curVs := cur.vehicles[route]
+	prevVs := prev.vehiclesOf(route)
+	curVs := cur.vehiclesOf(route)
 	prevByID := make(map[string]api.VehicleStatus, len(prevVs))
 	for _, v := range prevVs {
 		prevByID[v.BusID] = v

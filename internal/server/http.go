@@ -88,17 +88,19 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		offered: &s.http.batchOffered, served: &s.http.batchServed, shed: &s.http.batchShed,
 	}))
 
-	// The rider-facing read endpoints serve pre-rendered bytes from the
-	// current epoch snapshot: a pointer load, an ETag check, a byte write.
+	// The rider-facing read endpoints serve a cell of the current epoch
+	// snapshot: a pointer load, an ETag check, a byte write. A 200 renders
+	// the cell's body if no earlier read of the epoch has; a 304 never does.
 	mux.HandleFunc("GET "+api.PathVehicles, func(w http.ResponseWriter, r *http.Request) {
 		snap := s.currentSnapshot()
 		// An unknown route has no entry, which on the old path meant a nil
 		// vehicle list, not an error.
-		body := snap.vehiclesBody[r.URL.Query().Get("route")]
-		if body == nil {
-			body = nullBody
+		cell := snap.vehicles[r.URL.Query().Get("route")]
+		if cell == nil {
+			s.serveSnapshot(w, r, snap, renderNull)
+			return
 		}
-		s.serveSnapshot(w, r, snap, body)
+		s.serveSnapshot(w, r, snap, cell.render)
 	})
 
 	mux.HandleFunc("GET "+api.PathArrivals, func(w http.ResponseWriter, r *http.Request) {
@@ -120,15 +122,15 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		snap := s.currentSnapshot()
 		cells := snap.arrivals[routeID]
 		if stopIdx >= len(cells) {
-			s.serveSnapshot(w, r, snap, nullBody)
+			s.serveSnapshot(w, r, snap, renderNull)
 			return
 		}
-		cell := cells[stopIdx]
+		cell := &cells[stopIdx]
 		if cell.err != nil {
 			writeErr(w, http.StatusBadRequest, cell.err.Error())
 			return
 		}
-		s.serveSnapshot(w, r, snap, cell.body)
+		s.serveSnapshot(w, r, snap, cell.render)
 	})
 
 	mux.HandleFunc("GET "+api.PathTrafficMap, func(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +143,7 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		}
 		// Every route of the network (and "" for all of it) has a cell.
 		snap := s.currentSnapshot()
-		s.serveSnapshot(w, r, snap, snap.tmaps[routeID].body)
+		s.serveSnapshot(w, r, snap, snap.tmaps[routeID].render)
 	})
 
 	mux.HandleFunc("GET "+api.PathStream, func(w http.ResponseWriter, r *http.Request) {
@@ -353,13 +355,14 @@ func recoverPanics(s *Service, next http.Handler) http.Handler {
 	})
 }
 
-// serveSnapshot writes one pre-rendered snapshot body with the HTTP caching
-// layer of the read path: a strong ETag derived from the snapshot epoch, a
-// Cache-Control max-age equal to the snapshot's remaining fusion-window
-// validity, and a 304 short-circuit on If-None-Match. serves is incremented
-// before the notModified check so NotModified <= Serves at every instant
-// (ReadStats loads in the reverse order).
-func (s *Service) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *readSnapshot, body []byte) {
+// serveSnapshot writes one snapshot cell with the HTTP caching layer of the
+// read path: a strong ETag derived from the snapshot epoch, a Cache-Control
+// max-age equal to the snapshot's remaining fusion-window validity, and a
+// 304 short-circuit on If-None-Match. render is called only for a 200, so
+// a revalidation never renders the cell. serves is incremented before the
+// notModified check so NotModified <= Serves at every instant (ReadStats
+// loads in the reverse order).
+func (s *Service) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *readSnapshot, render func() []byte) {
 	s.read.serves.Add(1)
 	h := w.Header()
 	h.Set("ETag", snap.etag)
@@ -369,6 +372,7 @@ func (s *Service) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *re
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	body := render()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)

@@ -211,7 +211,7 @@ func newServiceMetrics(s *Service, reg *obs.Registry) *serviceMetrics {
 	// scrape is not a reader and must not trigger a publish.
 	reg.GaugeFunc("wilocator_active_buses",
 		"Tracked, non-stale buses as of the served read snapshot.",
-		func() float64 { return float64(len(s.snap.cur.Load().vehicles[""])) })
+		func() float64 { return float64(len(s.snap.cur.Load().vehiclesOf(""))) })
 	reg.GaugeFunc("wilocator_engine_generation",
 		"Serving engine generation (1 = initial build).",
 		func() float64 { return float64(s.Generation()) })

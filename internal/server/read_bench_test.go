@@ -19,7 +19,7 @@ import (
 )
 
 // The read benchmarks measure one rider GET through the handler (snapshot
-// path: pointer load + pre-rendered bytes) against the pre-snapshot cold
+// path: pointer load + the cell's already rendered bytes) against the cold
 // recompute of the same product including its JSON render. The ratio is the
 // read-path speedup `make bench-check` gates at 10x via BENCH_read.json.
 //
@@ -73,7 +73,7 @@ func BenchmarkVehiclesRecompute(b *testing.B) {
 		if len(vs) == 0 {
 			b.Fatal("no vehicles")
 		}
-		_ = renderVehicles(vs)
+		_ = renderList(vs)
 	}
 }
 
@@ -93,11 +93,7 @@ func BenchmarkArrivalsRecompute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ests == nil {
-			_ = nullBody
-			continue
-		}
-		_ = marshalBody(ests)
+		_ = renderList(ests)
 	}
 }
 
@@ -187,15 +183,24 @@ func newFleetService(b *testing.B, n int) *Service {
 }
 
 // BenchmarkPublish times one whole epoch publish — capture, arrival sweeps,
-// traffic map, anomaly scan, JSON renders — over live-fleet sizes on the
-// scenario city, and reports how many per-segment predictions one publish
-// makes. That count is the cost model's leading term, live buses × segments
-// ahead; with the per-(bus, stop) loop it was live buses × stops ahead ×
-// segments between.
+// traffic map, anomaly scan — over live-fleet sizes on the scenario city,
+// and reports how many per-segment predictions one publish makes. That
+// count is the cost model's leading term, live buses × segments ahead; with
+// the per-(bus, stop) loop it was live buses × stops ahead × segments
+// between. A publish renders no JSON, so the buses=40/read case adds what
+// the first rider poll of an epoch pays on top: the render of the
+// all-routes vehicles body.
 func BenchmarkPublish(b *testing.B) {
-	for _, n := range []int{10, 40, 120} {
-		b.Run(fmt.Sprintf("buses=%d", n), func(b *testing.B) {
-			svc := newFleetService(b, n)
+	for _, bc := range []struct {
+		buses int
+		read  bool
+	}{{10, false}, {40, false}, {120, false}, {40, true}} {
+		name := fmt.Sprintf("buses=%d", bc.buses)
+		if bc.read {
+			name += "/read"
+		}
+		b.Run(name, func(b *testing.B) {
+			svc := newFleetService(b, bc.buses)
 			defer svc.Close()
 			pm := &predict.Metrics{}
 			svc.pred.SetMetrics(pm)
@@ -204,6 +209,9 @@ func BenchmarkPublish(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				svc.InvalidateReadSnapshot()
 				svc.PublishSnapshot()
+				if bc.read {
+					_ = svc.snap.cur.Load().vehicles[""].render()
+				}
 			}
 			b.StopTimer()
 			calls := pm.HistoricalMean.Load() + pm.SegmentMeanFallback.Load() + pm.FreeFlowFallback.Load()

@@ -705,7 +705,7 @@ func (s *Service) EvictStale() int {
 // read-side locks. An unknown route is not an error — it simply has no live
 // buses.
 func (s *Service) Vehicles(routeID string) []api.VehicleStatus {
-	vs := s.currentSnapshot().vehicles[routeID]
+	vs := s.currentSnapshot().vehiclesOf(routeID)
 	if vs == nil {
 		return nil
 	}
@@ -769,7 +769,7 @@ func (s *Service) arrivals(routeID string, stopIdx int) ([]api.ArrivalEstimate, 
 		// every stop of every route); kept as a guard.
 		return nil, nil
 	}
-	cell := cells[stopIdx]
+	cell := &cells[stopIdx]
 	if cell.err != nil {
 		return nil, cell.err
 	}
@@ -791,8 +791,7 @@ func (s *Service) TrafficMap(routeID string) (api.TrafficMapResponse, error) {
 			return api.TrafficMapResponse{}, fmt.Errorf("trafficmap: unknown route %q", routeID)
 		}
 	}
-	cell := s.currentSnapshot().tmaps[routeID]
-	resp := cell.resp
+	resp := s.currentSnapshot().tmaps[routeID].resp
 	if resp.Segments != nil {
 		resp.Segments = append([]trafficmap.SegmentStatus(nil), resp.Segments...)
 	}
@@ -824,7 +823,7 @@ func (s *Service) Stops(routeID string) (api.StopsResponse, error) {
 
 // ActiveBuses returns the number of currently tracked (non-stale) buses.
 func (s *Service) ActiveBuses() int {
-	return len(s.currentSnapshot().vehicles[""])
+	return len(s.currentSnapshot().vehiclesOf(""))
 }
 
 // Trajectory returns a tracked bus's trajectory as Definition 6 tuples

@@ -11,6 +11,7 @@ import (
 
 	"wilocator/internal/api"
 	"wilocator/internal/locate"
+	"wilocator/internal/predict"
 	"wilocator/internal/roadnet"
 	"wilocator/internal/trafficmap"
 )
@@ -19,10 +20,13 @@ import (
 //
 // Every rider-facing read product — per-route vehicle lists, per-stop
 // arrival tables, the traffic map, anomaly reports and trajectories — is
-// precomputed into one immutable readSnapshot behind an atomic pointer,
-// together with the pre-rendered JSON response bytes. A GET is then a
-// pointer load plus a byte write: zero read-side lock acquisitions, and 100k
-// subscribers watching one route cost one computation, not 100k.
+// precomputed into one immutable readSnapshot behind an atomic pointer. The
+// JSON response body of a cell is rendered from that data by the first read
+// that answers 200 for it and shared by every later read of the epoch, so a
+// publish pays only for the data, and a cell nobody asks for is never
+// encoded. A GET is then a pointer load plus a byte write: zero read-side
+// lock acquisitions, and 100k subscribers watching one route cost one
+// computation and one render, not 100k.
 //
 // # Epochs and dirtiness
 //
@@ -77,34 +81,72 @@ type snapState struct {
 	mu    sync.Mutex // single-flight publisher; stale readers wait on it
 }
 
+// The cells of a snapshot hold their data, fixed at publish, and the JSON
+// body of that data, rendered by marshalBody on the first render call and
+// shared by every later one: concurrent first readers wait for one render.
+// A cell holds a sync.Once, so it is always reached by pointer.
+
+// vehiclesCell is one live-vehicle list (route key "" = all routes).
+type vehiclesCell struct {
+	vs   []api.VehicleStatus
+	once sync.Once
+	body []byte
+}
+
+func (c *vehiclesCell) render() []byte {
+	c.once.Do(func() { c.body = renderList(c.vs) })
+	return c.body
+}
+
 // arrivalCell is one (route, stop) entry of the precomputed arrival table.
 type arrivalCell struct {
 	ests []api.ArrivalEstimate
-	body []byte
 	err  error // a prediction error surfaced by the old per-request path
+	once sync.Once
+	body []byte
+}
+
+func (c *arrivalCell) render() []byte {
+	c.once.Do(func() { c.body = renderList(c.ests) })
+	return c.body
 }
 
 // tmapCell is one precomputed traffic-map response (route key "" = whole
 // network).
 type tmapCell struct {
 	resp api.TrafficMapResponse
+	once sync.Once
 	body []byte
 }
 
-// readSnapshot is one immutable epoch of the read-serving state. Nothing in
-// it is ever mutated after publish; readers share it freely.
+func (c *tmapCell) render() []byte {
+	c.once.Do(func() { c.body = marshalBody(c.resp) })
+	return c.body
+}
+
+// readSnapshot is one immutable epoch of the read-serving state. Its data is
+// never mutated after publish, and a cell's body is written once, under the
+// cell's sync.Once, from that data; readers share it freely.
 type readSnapshot struct {
 	epoch       uint64
 	asOf        uint64 // dirty counter value the capture covers
 	generatedAt time.Time
 	etag        string // strong ETag, derived from the epoch
 
-	vehicles     map[string][]api.VehicleStatus // "" = all routes
-	vehiclesBody map[string][]byte
+	vehicles     map[string]*vehiclesCell // "" = all routes
 	arrivals     map[string][]arrivalCell // routeID -> stop index
-	tmaps        map[string]tmapCell      // "" = all routes
+	tmaps        map[string]*tmapCell     // "" = all routes
 	anomalies    []api.AnomalyReport      // all routes, sorted
 	trajectories map[string]busTrajectory // by bus ID
+}
+
+// vehiclesOf returns the live vehicles of one route ("" = all), nil for a
+// route the network does not have.
+func (snap *readSnapshot) vehiclesOf(routeID string) []api.VehicleStatus {
+	if c := snap.vehicles[routeID]; c != nil {
+		return c.vs
+	}
+	return nil
 }
 
 // busTrajectory is one bus's fixes as the tracker recorded them; the
@@ -119,7 +161,7 @@ type busTrajectory struct {
 var nullBody = []byte("null\n")
 
 // marshalBody renders v exactly as writeJSON does (json.Encoder semantics:
-// HTML escaping on, trailing newline), so pre-rendered snapshot bytes are
+// HTML escaping on, trailing newline), so a snapshot cell's body is
 // byte-identical to what the old per-request encode produced.
 func marshalBody(v any) []byte {
 	var buf bytes.Buffer
@@ -130,6 +172,17 @@ func marshalBody(v any) []byte {
 	}
 	return buf.Bytes()
 }
+
+// renderList renders a list body; a nil list answers the shared nullBody.
+func renderList[T any](list []T) []byte {
+	if list == nil {
+		return nullBody
+	}
+	return marshalBody(list)
+}
+
+// renderNull is the render of a cell the snapshot does not have.
+func renderNull() []byte { return nullBody }
 
 // markDirty records a mutation of read-visible state and pokes the broadcast
 // pump when one is running. Called with the mutated state's lock still held,
@@ -302,21 +355,21 @@ func filterVehicles(all []api.VehicleStatus, routeID string) []api.VehicleStatus
 // emits that bus's ETA at every stop ahead of it, so the table costs one
 // segment prediction per (bus, segment ahead) rather than one per (bus,
 // stop, segment between). vehicles is in bus-ID order and so is every cell.
+// Every cell's estimates are carved from one backing array sized from the
+// sweeps: one allocation per route instead of one per append.
 func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleStatus) []arrivalCell {
 	routeID := route.ID()
 	cells := make([]arrivalCell, route.NumStops())
-	for _, v := range vehicles {
+	sweeps := make([][]predict.StopPrediction, len(vehicles))
+	counts := make([]int, len(cells))
+	total := 0
+	for vi, v := range vehicles {
 		preds, err := s.pred.PredictAllStops(routeID, v.Arc, v.Updated)
+		sweeps[vi] = preds
 		for _, p := range preds {
-			cell := &cells[p.StopIndex]
-			cell.ests = append(cell.ests, api.ArrivalEstimate{
-				BusID:     v.BusID,
-				RouteID:   routeID,
-				StopIndex: p.StopIndex,
-				StopName:  route.Stop(p.StopIndex).Name,
-				ETA:       p.ETA,
-			})
+			counts[p.StopIndex]++
 		}
+		total += len(preds)
 		if err != nil {
 			// The sweep failed on a segment: every stop past the ones it
 			// reached reports the error, as a per-stop query would.
@@ -327,15 +380,27 @@ func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleS
 			}
 		}
 	}
-	for i := range cells {
-		cell := &cells[i]
-		switch {
-		case cell.err != nil:
-			cell.ests = nil
-		case cell.ests == nil:
-			cell.body = nullBody
-		default:
-			cell.body = marshalBody(cell.ests)
+	backing := make([]api.ArrivalEstimate, total)
+	for i, n := range counts {
+		// An error cell, or one no bus is ahead of, keeps nil estimates.
+		if n > 0 && cells[i].err == nil {
+			cells[i].ests = backing[:0:n]
+		}
+		backing = backing[n:]
+	}
+	for vi, v := range vehicles {
+		for _, p := range sweeps[vi] {
+			cell := &cells[p.StopIndex]
+			if cell.err != nil {
+				continue
+			}
+			cell.ests = append(cell.ests, api.ArrivalEstimate{
+				BusID:     v.BusID,
+				RouteID:   routeID,
+				StopIndex: p.StopIndex,
+				StopName:  route.Stop(p.StopIndex).Name,
+				ETA:       p.ETA,
+			})
 		}
 	}
 	return cells
@@ -397,10 +462,12 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.
 }
 
 // computeSnapshot builds one immutable epoch: a single capture pass over the
-// bus table, then every read product derived from that one capture, then the
-// JSON renders. Publish-side cost is O(live buses × segments ahead) for the
-// arrival sweeps, O(segments) for the traffic map and O(fixes of live buses)
-// for the anomaly scan; read-side cost is a pointer load.
+// bus table, then every read product derived from that one capture. It
+// renders no JSON; each cell's body waits for its first 200 read.
+// Publish-side cost is O(live buses × segments ahead) for the arrival
+// sweeps, O(segments) for the traffic map and O(fixes of live buses) for the
+// anomaly scan; read-side cost is a pointer load, plus one render for the
+// first read of a cell in the epoch.
 func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapshot {
 	caps := s.captureBuses()
 	routes := s.net.Routes()
@@ -411,20 +478,17 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 		generatedAt: now,
 		etag:        fmt.Sprintf("%q", fmt.Sprintf("wl-%d", epoch)),
 
-		vehicles:     make(map[string][]api.VehicleStatus, len(routes)+1),
-		vehiclesBody: make(map[string][]byte, len(routes)+1),
+		vehicles:     make(map[string]*vehiclesCell, len(routes)+1),
 		arrivals:     make(map[string][]arrivalCell, len(routes)),
-		tmaps:        make(map[string]tmapCell, len(routes)+1),
+		tmaps:        make(map[string]*tmapCell, len(routes)+1),
 		trajectories: make(map[string]busTrajectory, len(caps)),
 	}
 
 	all := s.vehiclesFromCaptures(caps, now, "")
-	snap.vehicles[""] = all
-	snap.vehiclesBody[""] = renderVehicles(all)
+	snap.vehicles[""] = &vehiclesCell{vs: all}
 	for _, rt := range routes {
 		vs := filterVehicles(all, rt.ID())
-		snap.vehicles[rt.ID()] = vs
-		snap.vehiclesBody[rt.ID()] = renderVehicles(vs)
+		snap.vehicles[rt.ID()] = &vehiclesCell{vs: vs}
 		snap.arrivals[rt.ID()] = s.arrivalsForRoute(rt, vs)
 	}
 
@@ -444,20 +508,12 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 	return snap
 }
 
-func renderVehicles(vs []api.VehicleStatus) []byte {
-	if vs == nil {
-		return nullBody
-	}
-	return marshalBody(vs)
-}
-
-func newTmapCell(now time.Time, statuses []trafficmap.SegmentStatus) tmapCell {
-	resp := api.TrafficMapResponse{
+func newTmapCell(now time.Time, statuses []trafficmap.SegmentStatus) *tmapCell {
+	return &tmapCell{resp: api.TrafficMapResponse{
 		GeneratedAt: now,
 		Segments:    statuses,
 		Strip:       trafficmap.Render(statuses),
-	}
-	return tmapCell{resp: resp, body: marshalBody(resp)}
+	}}
 }
 
 // maxAgeSec derives the Cache-Control max-age of a response served from

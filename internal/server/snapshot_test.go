@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,5 +316,195 @@ func TestGETBodiesMatchRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(api.PathTrafficMap+"?route="+routeID, http.StatusOK, marshalBody(ref))
+	}
+}
+
+// renderedCells lists the cells of snap whose body has been rendered, as
+// "kind:route[:stop]" keys in sorted order.
+func renderedCells(snap *readSnapshot) []string {
+	var out []string
+	for route, c := range snap.vehicles {
+		if c.body != nil {
+			out = append(out, "vehicles:"+route)
+		}
+	}
+	for route, cells := range snap.arrivals {
+		for i := range cells {
+			if cells[i].body != nil {
+				out = append(out, fmt.Sprintf("arrivals:%s:%d", route, i))
+			}
+		}
+	}
+	for route, c := range snap.tmaps {
+		if c.body != nil {
+			out = append(out, "trafficmap:"+route)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSnapshotRendersOnlyOnRead pins who renders a cell's body: a publish
+// renders none, a 304 revalidation renders none, an SSE subscribe and a
+// broadcast render none, and a 200 renders exactly the cell it served.
+func TestSnapshotRendersOnlyOnRead(t *testing.T) {
+	w := newWorld(t, 54)
+	w.runBusHalf(t, "bus-1", t0, 3, 550)
+	defer w.svc.Close()
+	h := Handler(w.svc)
+	route := w.route.ID()
+
+	get := func(target, inm string) int {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	want := func(snap *readSnapshot, what string, keys ...string) {
+		t.Helper()
+		if got := renderedCells(snap); fmt.Sprint(got) != fmt.Sprint(keys) {
+			t.Errorf("%s: rendered cells %v, want %v", what, got, keys)
+		}
+	}
+
+	w.svc.InvalidateReadSnapshot()
+	w.svc.PublishSnapshot()
+	snap := w.svc.snap.cur.Load()
+	want(snap, "after a publish")
+
+	paths := []string{
+		api.PathVehicles,
+		api.PathVehicles + "?route=" + route,
+		api.PathArrivals + "?route=" + route + "&stop=1",
+		api.PathTrafficMap,
+		api.PathTrafficMap + "?route=" + route,
+	}
+	for _, path := range paths {
+		if code := get(path, snap.etag); code != http.StatusNotModified {
+			t.Fatalf("GET %s If-None-Match %s: status %d, want 304", path, snap.etag, code)
+		}
+	}
+	want(snap, "after 304 revalidations")
+
+	sub, initial, err := w.svc.bcast.subscribe(route, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.svc.bcast.unsubscribe(sub)
+	if len(initial) != 1 {
+		t.Fatalf("initial frames = %d, want 1", len(initial))
+	}
+	epoch := advanceEpoch(t, w)
+	select {
+	case <-sub.ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no delta for epoch %d", epoch)
+	}
+	want(snap, "previous epoch after a subscribe and a broadcast")
+	snap = w.svc.snap.cur.Load()
+	if snap.epoch != epoch {
+		t.Fatalf("served epoch %d, broadcast %d", snap.epoch, epoch)
+	}
+	want(snap, "after a subscribe and a broadcast")
+
+	if code := get(paths[1], ""); code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", paths[1], code)
+	}
+	want(snap, "after one vehicles GET", "vehicles:"+route)
+	if code := get(paths[2], ""); code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", paths[2], code)
+	}
+	want(snap, "after an arrivals GET", "arrivals:"+route+":1", "vehicles:"+route)
+	if code := get(paths[3], ""); code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", paths[3], code)
+	}
+	want(snap, "after a traffic-map GET", "arrivals:"+route+":1", "trafficmap:", "vehicles:"+route)
+	if w.svc.Epoch() != epoch {
+		t.Fatalf("epoch moved to %d during the reads", w.svc.Epoch())
+	}
+}
+
+// captureRW is a ResponseWriter that keeps the slice its body was written
+// from, so a test can tell whether two responses share one backing array.
+type captureRW struct {
+	discardRW
+	body []byte
+}
+
+func (w *captureRW) Write(p []byte) (int, error) {
+	w.body = p
+	return len(p), nil
+}
+
+// TestSnapshotConcurrentFirstReadsShareOneRender: eight readers GET every
+// cell of one fresh epoch at once; every answer for a path is the same
+// bytes from the same backing array, so the concurrent first readers shared
+// one render.
+func TestSnapshotConcurrentFirstReadsShareOneRender(t *testing.T) {
+	w := newWorld(t, 55)
+	w.runBusHalf(t, "bus-1", t0, 3, 560)
+	w.runBusHalf(t, "bus-2", w.now().Add(time.Minute), 2, 570)
+	defer w.svc.Close()
+	h := Handler(w.svc)
+
+	paths := []string{api.PathVehicles, api.PathTrafficMap}
+	for _, rt := range w.net.Routes() {
+		paths = append(paths,
+			api.PathVehicles+"?route="+rt.ID(),
+			api.PathTrafficMap+"?route="+rt.ID())
+		for stop := 0; stop < rt.NumStops(); stop++ {
+			if _, err := w.svc.Arrivals(rt.ID(), stop); err == nil {
+				paths = append(paths, fmt.Sprintf("%s?route=%s&stop=%d", api.PathArrivals, rt.ID(), stop))
+			}
+		}
+	}
+	epoch := advanceEpoch(t, w)
+	if got := renderedCells(w.svc.snap.cur.Load()); len(got) != 0 {
+		t.Fatalf("fresh epoch already rendered %v", got)
+	}
+
+	const readers = 8
+	bodies := make([][][]byte, readers)
+	codes := make([][]int, readers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < readers; g++ {
+		bodies[g] = make([][]byte, len(paths))
+		codes[g] = make([]int, len(paths))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := range paths {
+				rw := &captureRW{}
+				h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, paths[i], nil))
+				codes[g][i], bodies[g][i] = rw.code, rw.body
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	if w.svc.Epoch() != epoch {
+		t.Fatalf("epoch moved from %d to %d during the reads", epoch, w.svc.Epoch())
+	}
+	for i, path := range paths {
+		first := bodies[0][i]
+		for g := 0; g < readers; g++ {
+			if codes[g][i] != http.StatusOK {
+				t.Fatalf("reader %d GET %s: status %d", g, path, codes[g][i])
+			}
+			got := bodies[g][i]
+			if !bytes.Equal(got, first) {
+				t.Errorf("GET %s: reader %d body differs from reader 0", path, g)
+			}
+			if len(got) == 0 || &got[0] != &first[0] {
+				t.Errorf("GET %s: reader %d was served a separate render", path, g)
+			}
+		}
 	}
 }
