@@ -272,7 +272,16 @@ var replayVia = loadtest.ReplayVia
 // System it now serves.
 func promotedSvc(t *testing.T, n *testNode) *loadtest.PersistentService {
 	t.Helper()
-	waitFor(t, 30*time.Second, n.id+" to promote its replica", func() bool { return n.serving() != nil })
+	// Promote records the System before the node installs its handler, so
+	// wait for the node itself to stop answering 503 as well.
+	waitFor(t, 30*time.Second, n.id+" to promote its replica", func() bool {
+		if n.serving() == nil {
+			return false
+		}
+		rec := httptest.NewRecorder()
+		n.node.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathRoutes, nil))
+		return rec.Code == http.StatusOK
+	})
 	return n.serving()
 }
 
