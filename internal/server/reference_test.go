@@ -169,5 +169,5 @@ func (s *Service) RecomputeAnomalies(routeID string) ([]api.AnomalyReport, error
 		})
 	})
 	sort.Slice(caps, func(i, j int) bool { return caps[i].id < caps[j].id })
-	return s.anomaliesFromCaptures(caps, now), nil
+	return s.anomaliesFromCaptures(caps, now, nil), nil
 }

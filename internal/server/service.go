@@ -289,6 +289,7 @@ func NewService(dia *svd.Diagram, store *traveltime.Store, cfg Config) (*Service
 	s.tracer = cfg.Tracer
 	s.eng.Store(&engine{dia: dia, pos: pos, gen: 1})
 	s.bcast = newBroadcaster(s, cfg.StreamBuffer, cfg.StreamMaxSubscribers)
+	s.snap.memo = newPublishMemo(net)
 	// Publish the initial (empty) read snapshot synchronously so the read
 	// path never observes a nil pointer.
 	s.snap.cur.Store(s.computeSnapshot(s.snap.dirty.Load(), 1, cfg.Now()))

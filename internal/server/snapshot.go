@@ -55,9 +55,24 @@ import (
 // republishes. Under a frozen test clock the age stays zero and reads are
 // pure atomic loads.
 //
+// # Publishing only what changed
+//
+// Most of a publish is per-bus work that rarely changes between epochs: an
+// epoch typically moves a few of the live buses and adds no travel-time
+// record. The publisher therefore keeps each live bus's arrival sweep and
+// anomaly scan from one publish to the next (publishMemo) and reuses them
+// when their inputs are unchanged. A sweep is a pure function of the bus's
+// route, arc and last update (the recency window is measured from the
+// update, not from the publish instant) and of the store's state on the
+// segments from the bus's segment to the end of the route; the store stamps
+// each segment with the generation of its last record, so the reuse is
+// exact. An anomaly scan is a pure function of the trajectory prefix (the
+// tracker and its length, since a tracker only appends) and the route's δ.
+//
 // Lock ordering: snap.mu → (shard.mu → busState.mu → store.mu) during a
-// publish; snap.mu → broadcaster.mu during a broadcast. No path acquires
-// them in any other order.
+// publish, and snap.mu → store.mu when the memo asks the store what changed;
+// snap.mu → broadcaster.mu during a broadcast. No path acquires them in any
+// other order.
 
 // readStats holds the read-path counters (atomics; the GET path never locks
 // for accounting). Invariant: notModified <= serves — the handler increments
@@ -74,11 +89,106 @@ type readStats struct {
 }
 
 // snapState is the publisher state: the dirty counter bumped by every
-// mutation, the current snapshot, and the single-flight publish lock.
+// mutation, the current snapshot, the single-flight publish lock, and the
+// per-bus results the next publish may reuse.
 type snapState struct {
 	dirty atomic.Uint64
 	cur   atomic.Pointer[readSnapshot]
-	mu    sync.Mutex // single-flight publisher; stale readers wait on it
+	mu    sync.Mutex  // single-flight publisher; stale readers wait on it
+	memo  publishMemo // guarded by mu
+}
+
+// publishMemo holds the previous publish's arrival sweep and anomaly scan of
+// every live bus, keyed by bus ID, with the inputs each was computed from.
+// A publish reads the previous results from sweeps/anoms and writes the
+// ones it serves to nextSweeps/nextAnoms; the pairs then swap and the new
+// next maps are cleared, so a bus that left the live set drops out after
+// one publish and the maps keep their storage from epoch to epoch.
+type publishMemo struct {
+	sweeps, nextSweeps map[string]sweepMemo
+	anoms, nextAnoms   map[string]anomalyMemo
+	routeSegs          map[string][]roadnet.SegmentID // every route's segments, in order
+}
+
+// sweepMemo is one bus's PredictAllStops result and its key: the sweep is
+// reused while the route, arc and update are the same and no segment from
+// the bus's segment to the end of the route changed since gen.
+type sweepMemo struct {
+	routeID string
+	arc     float64
+	updated time.Time
+	gen     uint64 // store generation read before the sweep ran
+	preds   []predict.StopPrediction
+	err     error
+}
+
+// anomalyMemo is one bus's DetectAnomalies result over the first fixes
+// points of its tracker's trajectory at δ = delta.
+type anomalyMemo struct {
+	tracker *locate.Tracker
+	fixes   int
+	delta   float64
+	found   []trafficmap.Anomaly
+}
+
+func newPublishMemo(net *roadnet.Network) publishMemo {
+	m := publishMemo{
+		sweeps:     make(map[string]sweepMemo),
+		nextSweeps: make(map[string]sweepMemo),
+		anoms:      make(map[string]anomalyMemo),
+		nextAnoms:  make(map[string]anomalyMemo),
+		routeSegs:  make(map[string][]roadnet.SegmentID),
+	}
+	for _, rt := range net.Routes() {
+		m.routeSegs[rt.ID()] = rt.Segments()
+	}
+	return m
+}
+
+// advance ends a publish: what it served becomes what the next one may
+// reuse.
+func (m *publishMemo) advance() {
+	m.sweeps, m.nextSweeps = m.nextSweeps, m.sweeps
+	m.anoms, m.nextAnoms = m.nextAnoms, m.anoms
+	clear(m.nextSweeps)
+	clear(m.nextAnoms)
+}
+
+// sweep returns vehicle v's arrival sweep along route: the previous
+// publish's when its key still holds, else a fresh PredictAllStops. gen is
+// the store generation read before this publish's first sweep, so a record
+// that lands while a sweep runs invalidates it for the next publish.
+func (s *Service) sweep(route *roadnet.Route, v api.VehicleStatus, gen uint64) ([]predict.StopPrediction, error) {
+	m := &s.snap.memo
+	routeID := route.ID()
+	if e, ok := m.sweeps[v.BusID]; ok && e.routeID == routeID && e.arc == v.Arc &&
+		e.updated.Equal(v.Updated) && e.updated.Location() == v.Updated.Location() {
+		idx, _, _ := route.SegmentAt(v.Arc)
+		if !s.store.ChangedSince(e.gen, m.routeSegs[routeID][idx:]) {
+			m.nextSweeps[v.BusID] = e
+			return e.preds, e.err
+		}
+	}
+	preds, err := s.pred.PredictAllStops(routeID, v.Arc, v.Updated)
+	m.nextSweeps[v.BusID] = sweepMemo{routeID: routeID, arc: v.Arc, updated: v.Updated, gen: gen, preds: preds, err: err}
+	return preds, err
+}
+
+// detect returns the anomalies of bus b at δ = delta: the previous
+// publish's when b's tracker, fix count and δ are unchanged. A nil memo
+// (the call-time reference path) always detects afresh.
+func (m *publishMemo) detect(b busCapture, rp routeParams) []trafficmap.Anomaly {
+	if m != nil {
+		if e, ok := m.anoms[b.id]; ok && e.tracker == b.tracker && e.fixes == len(b.traj) && e.delta == rp.delta {
+			m.nextAnoms[b.id] = e
+			return e.found
+		}
+	}
+	found := trafficmap.DetectAnomalies(b.traj, rp.delta, anomalyMinPoints, rp.exclude, 30)
+	if m != nil {
+		m.nextAnoms[b.id] = anomalyMemo{tracker: b.tracker, fixes: len(b.traj), delta: rp.delta, found: found}
+	}
+	return found
 }
 
 // The cells of a snapshot hold their data, fixed at publish, and the JSON
@@ -274,6 +384,7 @@ type busCapture struct {
 	id         string
 	routeID    string
 	route      *roadnet.Route
+	tracker    *locate.Tracker
 	lastUpdate time.Time
 	done       bool
 	arc        float64
@@ -297,6 +408,7 @@ func (s *Service) captureBuses() []busCapture {
 			id:         id,
 			routeID:    bs.routeID,
 			route:      bs.tracker.Route(),
+			tracker:    bs.tracker,
 			lastUpdate: bs.lastUpdate,
 			done:       bs.done,
 			traj:       bs.tracker.TrajectoryView(),
@@ -354,17 +466,18 @@ func filterVehicles(all []api.VehicleStatus, routeID string) []api.VehicleStatus
 // vehicles: one forward sweep per bus (Eq. 9 composed once along the route)
 // emits that bus's ETA at every stop ahead of it, so the table costs one
 // segment prediction per (bus, segment ahead) rather than one per (bus,
-// stop, segment between). vehicles is in bus-ID order and so is every cell.
+// stop, segment between), and nothing for a bus whose sweep the previous
+// publish already made. vehicles is in bus-ID order and so is every cell.
 // Every cell's estimates are carved from one backing array sized from the
 // sweeps: one allocation per route instead of one per append.
-func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleStatus) []arrivalCell {
+func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleStatus, gen uint64) []arrivalCell {
 	routeID := route.ID()
 	cells := make([]arrivalCell, route.NumStops())
 	sweeps := make([][]predict.StopPrediction, len(vehicles))
 	counts := make([]int, len(cells))
 	total := 0
 	for vi, v := range vehicles {
-		preds, err := s.pred.PredictAllStops(routeID, v.Arc, v.Updated)
+		preds, err := s.sweep(route, v, gen)
 		sweeps[vi] = preds
 		for _, p := range preds {
 			counts[p.StopIndex]++
@@ -406,17 +519,22 @@ func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleS
 	return cells
 }
 
+// routeParams are the anomaly-detection parameters of one route: δ and the
+// expected-wait sites (stops and signalled intersections) a crawl may not
+// be centred on.
+type routeParams struct {
+	delta   float64
+	exclude []float64
+}
+
 // anomaliesFromCaptures runs the Fig. 4 anomaly detection over the captured
 // trajectories — the same per-bus pipeline as the old path, but every bus is
 // observed at the same epoch instead of under one lock acquisition each.
-func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.AnomalyReport {
+// memo, when not nil, lets a bus reuse the previous publish's detection.
+func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time, memo *publishMemo) []api.AnomalyReport {
 	var out []api.AnomalyReport
 	// δ and the expected-wait sites depend on the route, not the bus:
 	// derived once per route with a live bus, not once per bus.
-	type routeParams struct {
-		delta   float64
-		exclude []float64
-	}
 	params := make(map[string]routeParams)
 	for _, b := range caps {
 		if now.Sub(b.lastUpdate) > s.cfg.StaleAfter {
@@ -439,7 +557,7 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.
 			}
 			params[b.routeID] = rp
 		}
-		for _, a := range trafficmap.DetectAnomalies(b.traj, rp.delta, anomalyMinPoints, rp.exclude, 30) {
+		for _, a := range memo.detect(b, rp) {
 			center := (a.StartArc + a.EndArc) / 2
 			out = append(out, api.AnomalyReport{
 				BusID:    b.id,
@@ -464,13 +582,15 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.
 // computeSnapshot builds one immutable epoch: a single capture pass over the
 // bus table, then every read product derived from that one capture. It
 // renders no JSON; each cell's body waits for its first 200 read.
-// Publish-side cost is O(live buses × segments ahead) for the arrival
-// sweeps, O(segments) for the traffic map and O(fixes of live buses) for the
-// anomaly scan; read-side cost is a pointer load, plus one render for the
-// first read of a cell in the epoch.
+// Publish-side cost is O(changed buses × segments ahead) for the arrival
+// sweeps, O(segments) for the traffic map and O(fixes of changed buses) for
+// the anomaly scan; read-side cost is a pointer load, plus one render for
+// the first read of a cell in the epoch. Caller holds snap.mu (or, in
+// NewService, is the only goroutine).
 func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapshot {
 	caps := s.captureBuses()
 	routes := s.net.Routes()
+	gen := s.store.Generation()
 
 	snap := &readSnapshot{
 		epoch:       epoch,
@@ -489,7 +609,7 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 	for _, rt := range routes {
 		vs := filterVehicles(all, rt.ID())
 		snap.vehicles[rt.ID()] = &vehiclesCell{vs: vs}
-		snap.arrivals[rt.ID()] = s.arrivalsForRoute(rt, vs)
+		snap.arrivals[rt.ID()] = s.arrivalsForRoute(rt, vs, gen)
 	}
 
 	// Traffic map: whole network plus every route, each segment classified
@@ -500,7 +620,8 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 		snap.tmaps[routeID] = newTmapCell(now, statuses)
 	}
 
-	snap.anomalies = s.anomaliesFromCaptures(caps, now)
+	snap.anomalies = s.anomaliesFromCaptures(caps, now, &s.snap.memo)
+	s.snap.memo.advance()
 
 	for _, c := range caps {
 		snap.trajectories[c.id] = busTrajectory{routeID: c.routeID, fixes: c.traj}

@@ -10,6 +10,7 @@ import (
 
 	"wilocator/internal/api"
 	"wilocator/internal/geo"
+	"wilocator/internal/predict"
 	"wilocator/internal/roadnet"
 	"wilocator/internal/sensing"
 	"wilocator/internal/svd"
@@ -375,5 +376,106 @@ func TestSnapshotSweepMemoMatchesRecompute(t *testing.T) {
 		if n == 0 {
 			t.Errorf("operation %d never ran", op)
 		}
+	}
+}
+
+// TestSnapshotSweepMemoReusesUnmovedBuses counts, through predict.Metrics,
+// the segment predictions a publish computes: none when nothing moved, none
+// after a record on a segment behind every live bus, and after a record on
+// a segment ahead of some buses exactly the fresh sweeps of those buses.
+func TestSnapshotSweepMemoReusesUnmovedBuses(t *testing.T) {
+	mw := newMemoWorld(t, 73, time.Date(2016, 3, 7, 13, 0, 0, 0, time.UTC))
+	buses := []*memoBus{
+		mw.addBus(t, "a-early", "a", 330, 730),
+		mw.addBus(t, "a-late", "a", 1330, 740),
+		mw.addBus(t, "b-mid", "b", 640, 750),
+	}
+	for i := 0; i < 4; i++ {
+		mw.move(t, 10, buses...)
+	}
+	pm := &predict.Metrics{}
+	mw.svc.pred.SetMetrics(pm)
+	segTimes := func() uint64 {
+		return pm.HistoricalMean.Load() + pm.SegmentMeanFallback.Load() + pm.FreeFlowFallback.Load()
+	}
+	// publish publishes one epoch and returns the segment predictions it
+	// computed; the bodies it serves are then held against the reference
+	// (whose own predictions are not counted).
+	publish := func(step string) uint64 {
+		t.Helper()
+		mw.svc.InvalidateReadSnapshot()
+		before, epoch := segTimes(), mw.svc.Epoch()
+		if got := mw.svc.PublishSnapshot(); got != epoch+1 {
+			t.Fatalf("%s: epoch %d -> %d, want one publish", step, epoch, got)
+		}
+		n := segTimes() - before
+		mw.check(t, step)
+		return n
+	}
+	if n := publish("first"); n == 0 {
+		t.Fatal("the first publish computed no segment prediction")
+	}
+	if n := publish("nothing changed"); n != 0 {
+		t.Errorf("a publish with nothing changed computed %d segment predictions, want 0", n)
+	}
+
+	ahead := mw.liveAhead()
+	if len(ahead) != len(buses) {
+		t.Fatalf("%d of %d buses live", len(ahead), len(buses))
+	}
+	// whose lists the live buses with seg among their remaining segments.
+	whose := func(seg roadnet.SegmentID) []string {
+		var ids []string
+		for _, b := range buses {
+			for _, s := range ahead[b.id] {
+				if s == seg {
+					ids = append(ids, b.id)
+					break
+				}
+			}
+		}
+		return ids
+	}
+	segs := mw.net.Routes()[0].Segments()
+	behind, some := roadnet.SegmentID(-1), roadnet.SegmentID(-1)
+	for _, seg := range segs {
+		switch ids := whose(seg); {
+		case len(ids) == 0 && behind < 0:
+			behind = seg
+		case len(ids) > 0 && len(ids) < len(buses) && some < 0:
+			some = seg
+		}
+	}
+	if behind < 0 || some < 0 {
+		t.Fatalf("bus placement gives no segment behind every bus (%d) or ahead of only some (%d): %v", behind, some, ahead)
+	}
+
+	mw.addRecord(t, behind, "a", 45)
+	if n := publish("record behind every bus"); n != 0 {
+		t.Errorf("a record on segment %d, behind every bus, cost %d segment predictions, want 0", behind, n)
+	}
+
+	// What the buses with some ahead cost when swept afresh, on an engine of
+	// their own over the same store, after the record lands.
+	mw.addRecord(t, some, "b", 45)
+	fresh := &predict.Metrics{}
+	eng, err := predict.NewWiLocator(mw.net, mw.store, predict.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetMetrics(fresh)
+	hit := whose(some)
+	for _, v := range mw.svc.RecomputeVehicles("") {
+		for _, id := range hit {
+			if v.BusID == id {
+				if _, err := eng.PredictAllStops(v.RouteID, v.Arc, v.Updated); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	want := fresh.HistoricalMean.Load() + fresh.SegmentMeanFallback.Load() + fresh.FreeFlowFallback.Load()
+	if n := publish("record ahead of some buses"); n != want || want == 0 {
+		t.Errorf("a record on segment %d, ahead of %v only, cost %d segment predictions, want their fresh sweeps' %d", some, hit, n, want)
 	}
 }

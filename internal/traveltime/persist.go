@@ -187,6 +187,9 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	s.recent = recent
 	s.hourly = hourly
 	s.allSeg = allSeg
+	s.gen++
+	s.floor = s.gen
+	clear(s.modified)
 	s.mu.Unlock()
 	return cr.n, nil
 }

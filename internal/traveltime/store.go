@@ -62,6 +62,12 @@ func (a *meanAcc) mean() float64 {
 
 // Store accumulates travel-time records. It is safe for concurrent use: the
 // server ingests crossings while queries run.
+//
+// Every mutation advances a generation counter. Add stamps the record's
+// segment with the new generation; ReadFrom, which replaces every segment at
+// once, raises a floor instead. A reader that derived something from a set
+// of segments at generation g asks ChangedSince(g, segs) whether any of them
+// may have changed since (see the snapshot publisher's per-bus memo).
 type Store struct {
 	mu   sync.RWMutex
 	plan SlotPlan
@@ -71,6 +77,10 @@ type Store struct {
 	recent map[roadnet.SegmentID][]Traversal
 	hourly map[hourKey]*meanAcc
 	allSeg map[roadnet.SegmentID]*meanAcc
+
+	gen      uint64                       // bumped by every mutation
+	floor    uint64                       // generation of the last ReadFrom
+	modified map[roadnet.SegmentID]uint64 // generation of each segment's last Add
 }
 
 // NewStore creates a store slotting records by plan.
@@ -82,6 +92,8 @@ func NewStore(plan SlotPlan) *Store {
 		recent: make(map[roadnet.SegmentID][]Traversal),
 		hourly: make(map[hourKey]*meanAcc),
 		allSeg: make(map[roadnet.SegmentID]*meanAcc),
+
+		modified: make(map[roadnet.SegmentID]uint64),
 	}
 }
 
@@ -137,7 +149,34 @@ func (s *Store) Add(rec Record) error {
 		ring = ring[len(ring)-maxRecentPerSegment:]
 	}
 	s.recent[rec.Seg] = ring
+	s.gen++
+	s.modified[rec.Seg] = s.gen
 	return nil
+}
+
+// Generation returns the store's mutation generation: it advances on every
+// Add and ReadFrom and never goes back.
+func (s *Store) Generation() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
+}
+
+// ChangedSince reports whether any read about one of segs may answer
+// differently than it did at generation gen: a record landed on one of them
+// after gen, or ReadFrom replaced the whole store after gen.
+func (s *Store) ChangedSince(gen uint64, segs []roadnet.SegmentID) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.floor > gen {
+		return true
+	}
+	for _, seg := range segs {
+		if s.modified[seg] > gen {
+			return true
+		}
+	}
+	return false
 }
 
 // HistoricalMean returns Th(i,j,l): the mean travel time (seconds) of route

@@ -1,6 +1,7 @@
 package traveltime
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -156,6 +157,50 @@ func TestRecentRingEviction(t *testing.T) {
 	got := s.Recent(3, time.Time{}, 0)
 	if len(got) != maxRecentPerSegment {
 		t.Errorf("ring holds %d, want %d", len(got), maxRecentPerSegment)
+	}
+}
+
+func TestChangedSinceStampsSegments(t *testing.T) {
+	s := NewStore(PaperPlan())
+	if err := s.Add(rec(1, "r", at(9, 0), 60)); err != nil {
+		t.Fatal(err)
+	}
+	g := s.Generation()
+	if s.ChangedSince(g, []roadnet.SegmentID{1, 2}) {
+		t.Error("nothing changed since the current generation")
+	}
+	if !s.ChangedSince(g-1, []roadnet.SegmentID{1}) {
+		t.Error("the record on segment 1 is not seen from the generation before it")
+	}
+	if err := s.Add(rec(2, "r", at(9, 5), 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(rec(2, "r", at(9, 0), -5)); err == nil {
+		t.Fatal("a rejected record was accepted")
+	}
+	if s.ChangedSince(g, []roadnet.SegmentID{1, 3}) {
+		t.Error("a record on segment 2 changed segments 1 and 3")
+	}
+	if !s.ChangedSince(g, []roadnet.SegmentID{3, 2}) {
+		t.Error("a record on segment 2 is not seen")
+	}
+	if s.Generation() != g+1 {
+		t.Errorf("generation %d after one accepted record, want %d", s.Generation(), g+1)
+	}
+
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g = s.Generation()
+	if _, err := s.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !s.ChangedSince(g, []roadnet.SegmentID{3}) {
+		t.Error("ReadFrom did not change a segment it carries no record for")
+	}
+	if g2 := s.Generation(); s.ChangedSince(g2, []roadnet.SegmentID{1, 2, 3}) {
+		t.Error("changed since the generation ReadFrom left")
 	}
 }
 
