@@ -114,9 +114,10 @@ fuzz-smoke:
 # then the ingest-throughput benchmarks (single-POST HTTP, NDJSON batch,
 # handler-only, decode-only) to BENCH_ingest.json, then the read-path
 # benchmarks (snapshot-served GET vs cold recompute for vehicles and
-# arrivals, and one whole epoch publish over 10/40/120 live buses, plus the
-# 40-bus publish followed by the render a first rider poll pays, each with
-# its per-publish SegmentTime count under "extra") to BENCH_read.json.
+# arrivals, and one whole cold epoch publish over 10/40/120 live buses, plus
+# the 40-bus publish followed by the render a first rider poll pays, a
+# 40-bus publish where nothing changed and one where one bus moved, each
+# with its per-publish SegmentTime count under "extra") to BENCH_read.json.
 bench:
 	$(GO) test -run='^$$' -bench='SVD' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out BENCH_svd.json
 	@cat BENCH_svd.json
@@ -157,7 +158,7 @@ bench-check:
 	$(GO) test -run='^$$' -bench='BenchmarkVehicles|BenchmarkArrivals|BenchmarkPublish' -benchmem -count=3 ./internal/server \
 		| $(GO) run ./cmd/benchjson \
 		| $(GO) run ./cmd/benchcheck -baseline BENCH_read.json \
-			-require 'BenchmarkVehiclesGET,BenchmarkVehiclesRecompute,BenchmarkArrivalsGET,BenchmarkArrivalsRecompute,BenchmarkPublish/buses=10,BenchmarkPublish/buses=40,BenchmarkPublish/buses=120,BenchmarkPublish/buses=40/read' \
+			-require 'BenchmarkVehiclesGET,BenchmarkVehiclesRecompute,BenchmarkArrivalsGET,BenchmarkArrivalsRecompute,BenchmarkPublish/buses=10,BenchmarkPublish/buses=40,BenchmarkPublish/buses=120,BenchmarkPublish/buses=40/read,BenchmarkPublish/buses=40/steady,BenchmarkPublish/buses=40/one-moved' \
 			-speedup 'BenchmarkVehiclesGET:BenchmarkVehiclesRecompute:10,BenchmarkArrivalsGET:BenchmarkArrivalsRecompute:10'
 
 bench-all:

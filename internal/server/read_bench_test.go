@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -187,29 +188,62 @@ func newFleetService(b *testing.B, n int) *Service {
 // and reports how many per-segment predictions one publish makes. That
 // count is the cost model's leading term, live buses × segments ahead; with
 // the per-(bus, stop) loop it was live buses × stops ahead × segments
-// between. A publish renders no JSON, so the buses=40/read case adds what
-// the first rider poll of an epoch pays on top: the render of the
-// all-routes vehicles body.
+// between.
+//
+// The plain cases time a cold publish: the per-bus memo is emptied before
+// each one, so every sweep and anomaly scan is computed. A publish renders
+// no JSON, so the buses=40/read case adds what the first rider poll of an
+// epoch pays on top: the render of the all-routes vehicles body. The
+// buses=40/steady case is a publish where nothing moved and no record
+// landed, so every bus reuses its previous results; buses=40/one-moved drops
+// one bus's memo entries per publish (a different bus each time), which
+// costs the publish what a bus that moved costs: one sweep and one scan.
+//
+// allocs/op is gated exactly, so two things that would make it depend on
+// b.N or on GC timing are kept out. One publish runs before the timer
+// starts: the first publish after the fixture's ingest sizes the memo maps,
+// a one-time cost. And the collector runs rarely: the fixture's live heap
+// is a few MB, so at the default GOGC a collection ran every two or three
+// publishes, and each one empties the sync.Pools that fmt and
+// encoding/json draw from; refilling them added a fraction of an
+// allocation per publish that varied between runs (1 838 or 1 839 in the
+// read case, which makes exactly 1 831 with the collector off).
 func BenchmarkPublish(b *testing.B) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 	for _, bc := range []struct {
 		buses int
-		read  bool
-	}{{10, false}, {40, false}, {120, false}, {40, true}} {
+		mode  string // "", "read", "steady" or "one-moved"
+	}{{10, ""}, {40, ""}, {120, ""}, {40, "read"}, {40, "steady"}, {40, "one-moved"}} {
 		name := fmt.Sprintf("buses=%d", bc.buses)
-		if bc.read {
-			name += "/read"
+		if bc.mode != "" {
+			name += "/" + bc.mode
 		}
 		b.Run(name, func(b *testing.B) {
 			svc := newFleetService(b, bc.buses)
 			defer svc.Close()
+			svc.PublishSnapshot()
+			var ids []string
+			for _, v := range svc.snap.cur.Load().vehiclesOf("") {
+				ids = append(ids, v.BusID)
+			}
+			memo := &svc.snap.memo
 			pm := &predict.Metrics{}
 			svc.pred.SetMetrics(pm)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				switch bc.mode {
+				case "", "read":
+					clear(memo.sweeps)
+					clear(memo.anoms)
+				case "one-moved":
+					id := ids[i%len(ids)]
+					delete(memo.sweeps, id)
+					delete(memo.anoms, id)
+				}
 				svc.InvalidateReadSnapshot()
 				svc.PublishSnapshot()
-				if bc.read {
+				if bc.mode == "read" {
 					_ = svc.snap.cur.Load().vehicles[""].render()
 				}
 			}
