@@ -199,15 +199,14 @@ func newFleetService(b *testing.B, n int) *Service {
 // one bus's memo entries per publish (a different bus each time), which
 // costs the publish what a bus that moved costs: one sweep and one scan.
 //
-// allocs/op is gated exactly, so two things that would make it depend on
-// b.N or on GC timing are kept out. One publish runs before the timer
-// starts: the first publish after the fixture's ingest sizes the memo maps,
-// a one-time cost. And the collector runs rarely: the fixture's live heap
-// is a few MB, so at the default GOGC a collection ran every two or three
-// publishes, and each one empties the sync.Pools that fmt and
-// encoding/json draw from; refilling them added a fraction of an
-// allocation per publish that varied between runs (1 838 or 1 839 in the
-// read case, which makes exactly 1 831 with the collector off).
+// allocs/op is gated exactly, so nothing that depends on b.N or on GC
+// timing may count in it. One publish runs before the timer starts: the
+// first publish after the fixture's ingest sizes the memo maps, a one-time
+// cost. And the collector runs rarely: the fixture's live heap is a few MB,
+// so at the default GOGC a collection ran every two or three publishes and
+// emptied the sync.Pools that fmt and encoding/json draw from; refilling
+// them added a fraction of an allocation per publish that varied between
+// runs.
 func BenchmarkPublish(b *testing.B) {
 	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 	for _, bc := range []struct {

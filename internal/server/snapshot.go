@@ -157,7 +157,8 @@ func (m *publishMemo) advance() {
 // sweep returns vehicle v's arrival sweep along route: the previous
 // publish's when its key still holds, else a fresh PredictAllStops. gen is
 // the store generation read before this publish's first sweep, so a record
-// that lands while a sweep runs invalidates it for the next publish.
+// that lands while a sweep runs invalidates it for the next publish. The
+// update must match in location as well as instant: the ETAs carry it.
 func (s *Service) sweep(route *roadnet.Route, v api.VehicleStatus, gen uint64) ([]predict.StopPrediction, error) {
 	m := &s.snap.memo
 	routeID := route.ID()
@@ -174,9 +175,9 @@ func (s *Service) sweep(route *roadnet.Route, v api.VehicleStatus, gen uint64) (
 	return preds, err
 }
 
-// detect returns the anomalies of bus b at δ = delta: the previous
-// publish's when b's tracker, fix count and δ are unchanged. A nil memo
-// (the call-time reference path) always detects afresh.
+// detect returns the anomalies of bus b under its route's parameters: the
+// previous publish's when b's tracker, fix count and δ are unchanged. A nil
+// memo (the call-time reference path) always detects afresh.
 func (m *publishMemo) detect(b busCapture, rp routeParams) []trafficmap.Anomaly {
 	if m != nil {
 		if e, ok := m.anoms[b.id]; ok && e.tracker == b.tracker && e.fixes == len(b.traj) && e.delta == rp.delta {
