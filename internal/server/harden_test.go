@@ -91,6 +91,9 @@ func TestSaturationSheds429(t *testing.T) {
 	// The slow request streams its body through a pipe: the handler
 	// acquires the semaphore, then blocks decoding until we finish writing.
 	pr, pw := io.Pipe()
+	// On an early failure, end the body so the deferred ts.Close does not
+	// wait forever on the slow request's connection.
+	defer pw.Close()
 	req, err := http.NewRequest("POST", ts.URL+api.PathReports, pr)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +113,18 @@ func TestSaturationSheds429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Probe until the slow request is observably holding the slot.
+	// Wait for the slow request to reach the handler before the first
+	// probe. Alone, it is admitted; a probe that got there first would
+	// hold the slot itself and shed the slow request instead.
 	deadline := time.Now().Add(5 * time.Second)
+	for w.svc.HTTPStats().Offered == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow request never reached the handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Probe until the slow request is observably holding the slot.
 	var probe *http.Response
 	for {
 		probe = postJSON(t, ts.URL, rep)
