@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -580,6 +581,16 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time, memo *
 	return out
 }
 
+// etagOf returns epoch's strong ETag, "wl-<epoch>" in quotes, in one
+// allocation whatever the epoch (fmt boxes an epoch of 256 or more, which
+// made a publish allocate once more from the 256th epoch on).
+func etagOf(epoch uint64) string {
+	var buf [24]byte
+	b := append(buf[:0], `"wl-`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	return string(append(b, '"'))
+}
+
 // computeSnapshot builds one immutable epoch: a single capture pass over the
 // bus table, then every read product derived from that one capture. It
 // renders no JSON; each cell's body waits for its first 200 read.
@@ -597,7 +608,7 @@ func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapsh
 		epoch:       epoch,
 		asOf:        asOf,
 		generatedAt: now,
-		etag:        fmt.Sprintf("%q", fmt.Sprintf("wl-%d", epoch)),
+		etag:        etagOf(epoch),
 
 		vehicles:     make(map[string]*vehiclesCell, len(routes)+1),
 		arrivals:     make(map[string][]arrivalCell, len(routes)),

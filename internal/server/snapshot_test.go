@@ -271,6 +271,16 @@ func TestHTTPReadCaching(t *testing.T) {
 // each 200 body of the vehicles, arrivals and traffic-map endpoints is
 // byte-equal to marshalBody of the call-time reference computation, an
 // unknown route's vehicles answer the nil-slice "null", and an arrival
+// TestETagOfEpoch pins the ETag format across the epochs where fmt's
+// formatting changed cost (two digits, three digits, 256 and up).
+func TestETagOfEpoch(t *testing.T) {
+	for _, e := range []uint64{0, 1, 99, 100, 255, 256, 1 << 40, 1<<64 - 1} {
+		if got, want := etagOf(e), fmt.Sprintf("%q", fmt.Sprintf("wl-%d", e)); got != want {
+			t.Errorf("etagOf(%d) = %s, want %s", e, got, want)
+		}
+	}
+}
+
 // prediction error stays a 400 carrying the reference's message.
 func TestGETBodiesMatchRecompute(t *testing.T) {
 	w := newWorld(t, 53)
