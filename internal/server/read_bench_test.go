@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -199,16 +200,17 @@ func newFleetService(b *testing.B, n int) *Service {
 // one bus's memo entries per publish (a different bus each time), which
 // costs the publish what a bus that moved costs: one sweep and one scan.
 //
-// allocs/op is gated exactly, so nothing that depends on b.N or on GC
-// timing may count in it. One publish runs before the timer starts: the
-// first publish after the fixture's ingest sizes the memo maps, a one-time
-// cost. And the collector runs rarely: the fixture's live heap is a few MB,
-// so at the default GOGC a collection ran every two or three publishes and
-// emptied the sync.Pools that fmt and encoding/json draw from; refilling
-// them added a fraction of an allocation per publish that varied between
-// runs.
+// ns/op is the timed loop at the default GOGC, like every other benchmark
+// here. B/op and allocs/op are not the loop's: allocs/op is gated exactly,
+// so nothing that depends on b.N or on GC timing may count in it, and in the
+// loop a collection ran every two or three publishes (the fixture's live
+// heap is a few MB) and emptied the sync.Pools that fmt and encoding/json
+// draw from; refilling them added a fraction of an allocation per publish
+// that varied between runs. After the loop, publishAllocs counts a fixed
+// sequence of publishes with the collector off and reports that instead.
+// One publish runs before the timer starts as well: the first publish after
+// the fixture's ingest sizes the memo maps, a one-time cost.
 func BenchmarkPublish(b *testing.B) {
-	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 	for _, bc := range []struct {
 		buses int
 		mode  string // "", "read", "steady" or "one-moved"
@@ -226,11 +228,7 @@ func BenchmarkPublish(b *testing.B) {
 				ids = append(ids, v.BusID)
 			}
 			memo := &svc.snap.memo
-			pm := &predict.Metrics{}
-			svc.pred.SetMetrics(pm)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			publish := func(i int) {
 				switch bc.mode {
 				case "", "read":
 					clear(memo.sweeps)
@@ -246,9 +244,44 @@ func BenchmarkPublish(b *testing.B) {
 					_ = svc.snap.cur.Load().vehicles[""].render()
 				}
 			}
+			pm := &predict.Metrics{}
+			svc.pred.SetMetrics(pm)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				publish(i)
+			}
 			b.StopTimer()
 			calls := pm.HistoricalMean.Load() + pm.SegmentMeanFallback.Load() + pm.FreeFlowFallback.Load()
 			b.ReportMetric(float64(calls)/float64(b.N), "segtimes/op")
+			// A one-moved publish costs what the moved bus's sweep costs, so
+			// the count covers every bus once; the other modes repeat one
+			// publish.
+			n := 4
+			if bc.mode == "one-moved" {
+				n = len(ids)
+			}
+			bytes, allocs := publishAllocs(publish, n)
+			b.ReportMetric(bytes, "B/op")
+			b.ReportMetric(allocs, "allocs/op")
 		})
 	}
+}
+
+// publishAllocs returns the mean bytes and allocations of publish(0), …,
+// publish(n-1) run with the collector off, so no collection empties a pool
+// in between, and on one P, so a pooled object put on one P is not missed by
+// a Get on another. One publish before the count refills what a collection
+// in the timed loop emptied.
+func publishAllocs(publish func(int), n int) (bytes, allocs float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	publish(n - 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		publish(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n), float64(after.Mallocs-before.Mallocs) / float64(n)
 }
