@@ -202,12 +202,13 @@ func newFleetService(b *testing.B, n int) *Service {
 //
 // ns/op is the timed loop at the default GOGC, like every other benchmark
 // here. B/op and allocs/op are not the loop's: allocs/op is gated exactly,
-// so nothing that depends on b.N or on GC timing may count in it, and in the
-// loop a collection ran every two or three publishes (the fixture's live
-// heap is a few MB) and emptied the sync.Pools that fmt and encoding/json
-// draw from; refilling them added a fraction of an allocation per publish
-// that varied between runs. After the loop, publishAllocs counts a fixed
-// sequence of publishes with the collector off and reports that instead.
+// so nothing that depends on b.N or on GC timing may count in it, and in
+// the loop a collection ran every two or three publishes (the fixture's
+// live heap is a few MB) and emptied the sync.Pools that fmt and
+// encoding/json draw from; refilling them added up to about nine
+// allocations per publish, a number that varied between runs. After the
+// loop, publishAllocs counts a fixed sequence of publishes with the
+// collector off and reports that instead.
 // One publish runs before the timer starts as well: the first publish after
 // the fixture's ingest sizes the memo maps, a one-time cost.
 func BenchmarkPublish(b *testing.B) {

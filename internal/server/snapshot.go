@@ -581,11 +581,12 @@ func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time, memo *
 	return out
 }
 
-// etagOf returns epoch's strong ETag, "wl-<epoch>" in quotes, in one
-// allocation whatever the epoch (fmt boxes an epoch of 256 or more, which
-// made a publish allocate once more from the 256th epoch on).
+// etagOf returns epoch's strong ETag, "wl-<epoch>" in quotes. It allocates
+// once for any epoch; fmt would box the epoch, which allocates from 256 on,
+// and a publish's allocation count would then depend on its epoch
+// (BenchmarkPublish gates that count exactly).
 func etagOf(epoch uint64) string {
-	var buf [24]byte
+	var buf [32]byte
 	b := append(buf[:0], `"wl-`...)
 	b = strconv.AppendUint(b, epoch, 10)
 	return string(append(b, '"'))
